@@ -1,10 +1,8 @@
 package depot
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
-	"strings"
 
 	"repro/internal/obs"
 )
@@ -59,10 +57,7 @@ func (d *Depot) PromMetrics() []obs.Metric {
 	}
 	gauge("ibp_depot_next_expiry_seconds", "Seconds until the earliest allocation expires (0 = none pending).", nextExpiry)
 	ms = append(ms, obs.ProcessMetrics("ibp-depot", d.clock.Now, d.started)...)
-	if d.cfg.Recorder != nil {
-		ms = append(ms, d.cfg.Recorder.RingMetrics()...)
-	}
-	return ms
+	return append(ms, d.cfg.Recorder.RingMetrics()...)
 }
 
 // healthy reports whether the depot is still serving.
@@ -76,8 +71,9 @@ func (d *Depot) healthy() error {
 }
 
 // ObsMux returns an HTTP mux serving GET /metrics (Prometheus text format,
-// including Go runtime gauges), GET /healthz, and GET /trace/<traceID>
-// (retained server-side spans as JSON). The caller owns the listener:
+// including Go runtime gauges), GET /healthz, GET /trace/<traceID> (the
+// flight recorder's events for the trace, server spans included, as JSON)
+// and GET /postmortem/<trace>. The caller owns the listener:
 //
 //	go http.ListenAndServe(metricsAddr, d.ObsMux())
 func (d *Depot) ObsMux() *http.ServeMux {
@@ -86,27 +82,7 @@ func (d *Depot) ObsMux() *http.ServeMux {
 		return append(d.PromMetrics(), obs.RuntimeMetrics()...)
 	}))
 	mux.Handle("/healthz", obs.HealthzHandler(d.healthy))
-	mux.Handle("/trace/", http.HandlerFunc(d.serveTrace))
-	if d.cfg.Recorder != nil {
-		mux.Handle("/postmortem/", obs.PostmortemHandler(d.cfg.Recorder, "ibp-depot", d.clock.Now))
-	}
+	mux.Handle("/trace/", obs.TraceJSONHandler(d.cfg.Recorder))
+	mux.Handle("/postmortem/", obs.PostmortemHandler(d.cfg.Recorder, "ibp-depot", d.clock.Now))
 	return mux
-}
-
-// serveTrace answers /trace/<traceID> with the retained server spans of
-// that trace as a JSON array: 400 on anything that is not a well-formed
-// trace ID, 404 when the ID is well-formed but no spans are retained.
-func (d *Depot) serveTrace(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/trace/")
-	if !obs.ValidTraceID(id) {
-		http.Error(w, "want /trace/<traceID> (hex)", http.StatusBadRequest)
-		return
-	}
-	spans := d.SpansForTrace(id)
-	if len(spans) == 0 {
-		http.Error(w, "no spans retained for trace "+id, http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(spans)
 }

@@ -3,6 +3,7 @@ package depot
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -167,5 +168,36 @@ func readAll(t *testing.T, r interface{ Read([]byte) (int, error) }) string {
 		if err != nil {
 			return sb.String()
 		}
+	}
+}
+
+// TestTraceSpansCountRingOverflow pins that server spans share the flight
+// recorder's drop accounting: once more traced operations arrive than the
+// depot's own recorder holds, /metrics reports the overwrites.
+func TestTraceSpansCountRingOverflow(t *testing.T) {
+	d, _ := newDepot(t, Config{})
+	c := ibp.NewClient(ibp.WithPooling(2)).WithSpan(obs.NewRootSpan())
+	defer c.Close()
+	for i := 0; i < obs.DefaultRecorderSize+8; i++ {
+		if _, err := c.Status(d.Addr()); err != nil {
+			t.Fatalf("traced status %d: %v", i, err)
+		}
+	}
+	srv := httptest.NewServer(d.ObsMux())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body := readAll(t, resp.Body)
+	const series = `obs_ring_dropped_total{ring="flight"} `
+	i := strings.Index(body, series)
+	if i < 0 {
+		t.Fatalf("metrics body missing %s:\n%s", series, body)
+	}
+	val := strings.Fields(body[i+len(series):])[0]
+	if n, err := strconv.ParseFloat(val, 64); err != nil || n <= 0 {
+		t.Errorf("%s= %q, want > 0 after %d traced ops", series, val, obs.DefaultRecorderSize+8)
 	}
 }

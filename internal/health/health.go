@@ -197,9 +197,7 @@ type depotHealth struct {
 	lastOutcome Outcome
 	lastSeen    time.Time
 
-	// Recent success latencies in seconds (ring buffer).
-	lat    []float64
-	latPos int
+	lat stats.Ring[float64] // recent success latencies, seconds
 }
 
 // Scoreboard tracks depot health. Safe for concurrent use; one instance is
@@ -224,7 +222,7 @@ func New(cfg Config) *Scoreboard {
 func (s *Scoreboard) depot(addr string) *depotHealth {
 	d, ok := s.depots[addr]
 	if !ok {
-		d = &depotHealth{lastDecay: s.cfg.Clock.Now()}
+		d = &depotHealth{lastDecay: s.cfg.Clock.Now(), lat: stats.NewRing[float64](maxLatencySamples)}
 		s.depots[addr] = d
 	}
 	return d
@@ -299,13 +297,7 @@ func (s *Scoreboard) Report(addr string, outcome Outcome, latency time.Duration)
 	d.succW++
 	d.consecFails = 0
 	if outcome == Success && latency > 0 {
-		sec := latency.Seconds()
-		if len(d.lat) < maxLatencySamples {
-			d.lat = append(d.lat, sec)
-		} else {
-			d.lat[d.latPos] = sec
-		}
-		d.latPos = (d.latPos + 1) % maxLatencySamples
+		d.lat.Add(latency.Seconds())
 	}
 	if d.state != StateClosed {
 		from := d.state
@@ -381,10 +373,10 @@ func (s *Scoreboard) Latency(addr string) (stats.Summary, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	d, ok := s.depots[addr]
-	if !ok || len(d.lat) == 0 {
+	if !ok || d.lat.Len() == 0 {
 		return stats.Summary{}, false
 	}
-	return stats.Summarize(append([]float64(nil), d.lat...)), true
+	return stats.Summarize(d.lat.Items()), true
 }
 
 // Score returns addr's freshness-weighted success rate in [0,1]. Depots
@@ -452,7 +444,7 @@ func (s *Scoreboard) Snapshot() []DepotHealth {
 			HalfOpened:     d.halfOpened,
 			Reclosed:       d.reclosed,
 			Counter:        stats.Counter{OK: int(d.outcomes[Success] + d.outcomes[ProtocolError]), Fail: int(fails)},
-			Latency:        stats.Summarize(append([]float64(nil), d.lat...)),
+			Latency:        stats.Summarize(d.lat.Items()),
 			LastOutcome:    d.lastOutcome,
 			LastSeen:       d.lastSeen,
 		})

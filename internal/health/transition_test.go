@@ -101,7 +101,7 @@ func TestOnTransitionFeedsFlightRecorder(t *testing.T) {
 	if e.Kind != obs.KindBreaker || e.Depot != "d1:6714" {
 		t.Errorf("entry = %+v, want breaker entry for d1:6714", e)
 	}
-	if want := "breaker closed -> open"; e.Msg != want {
-		t.Errorf("entry msg = %q, want %q", e.Msg, want)
+	if want := "breaker closed -> open"; e.Note != want {
+		t.Errorf("entry msg = %q, want %q", e.Note, want)
 	}
 }

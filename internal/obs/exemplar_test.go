@@ -100,7 +100,7 @@ func TestCollectorRingDroppedAccounting(t *testing.T) {
 func TestFlightRecorderDroppedAccounting(t *testing.T) {
 	fr := NewFlightRecorder(4)
 	for i := 0; i < 9; i++ {
-		fr.Add(Entry{Kind: KindLog, Msg: "m"})
+		fr.Record(Event{Kind: KindLog, Note: "m"})
 	}
 	if got := fr.Dropped(); got != 5 {
 		t.Fatalf("Dropped() = %d, want 5 (9 entries into a 4-slot ring)", got)
@@ -135,7 +135,7 @@ func TestScrapeDuringConcurrentRecords(t *testing.T) {
 					Latency: time.Duration(i%50) * time.Millisecond,
 					Trace:   "aabbccdd00112233", Span: "01",
 				})
-				fr.Add(Entry{Kind: KindLog, Msg: "op"})
+				fr.Record(Event{Kind: KindLog, Note: "op"})
 				i++
 			}
 		}(g)

@@ -120,7 +120,7 @@ func (h *teeHandler) Enabled(ctx context.Context, lvl slog.Level) bool {
 }
 
 func (h *teeHandler) Handle(ctx context.Context, r slog.Record) error {
-	e := Entry{Kind: KindLog, Time: r.Time, Msg: r.Message, Level: r.Level.String()}
+	e := Event{Kind: KindLog, Time: r.Time, Note: r.Message, Level: r.Level.String()}
 	grab := func(a slog.Attr) {
 		switch a.Key {
 		case KeyTrace:
@@ -139,7 +139,7 @@ func (h *teeHandler) Handle(ctx context.Context, r slog.Record) error {
 		grab(a)
 	}
 	r.Attrs(func(a slog.Attr) bool { grab(a); return true })
-	h.rec.Add(e)
+	h.rec.Record(e)
 	if !h.inner.Enabled(ctx, r.Level) {
 		return nil
 	}

@@ -1,15 +1,15 @@
-// Package obs is the client-side observability layer of the stack: a
-// structured event per IBP operation, a ring buffer of recent events, and
-// per-depot/per-verb aggregates. The paper's evaluation hinges on knowing
-// which depot served which extent, how fast, and what failed (§3); this
-// package is where that visibility accumulates at runtime instead of being
-// reconstructed from logs.
+// Package obs is the observability layer of the stack: one trace record
+// (Event) for client operations, depot spans, logs and every other signal,
+// a ring buffer of recent events, and per-depot/per-verb aggregates. The
+// paper's evaluation hinges on knowing which depot served which extent, how
+// fast, and what failed (§3); this package is where that visibility
+// accumulates at runtime instead of being reconstructed from logs.
 //
 // The ibp.Client emits one Event per operation through an Observer (see
 // ibp.WithObserver); Collector is the standard sink. Everything here is
 // allocation-light and lock-cheap enough to stay enabled in production:
-// recording an event is one mutex acquisition and no allocation beyond the
-// amortized ring slot.
+// recording an event is one mutex acquisition and a store into a
+// preallocated ring slot.
 package obs
 
 import (
@@ -22,27 +22,45 @@ import (
 	"repro/internal/stats"
 )
 
-// Event is one IBP operation as seen from the client.
+// Event is the stack's one trace record: an IBP operation as seen from the
+// client, a depot's server-side span, a hedge decision, a log record, a
+// breaker transition, a forecast sample or an alert transition, told apart
+// by Kind. The collector, the flight recorder, postmortem bundles, every
+// daemon's /trace/<id> and obsd's trace join all carry it unchanged; its
+// JSON encoding is their shared line format.
 type Event struct {
-	Seq     uint64        // collector-assigned sequence number (1-based)
-	Time    time.Time     // operation start, on the client's clock
-	Verb    string        // IBP verb (ALLOCATE, STORE, LOAD, ...)
-	Depot   string        // depot address host:port
-	Bytes   int64         // payload bytes moved (0 when none or on failure)
-	Latency time.Duration // wall time of the exchange on the client's clock
-	Outcome string        // "success", "timeout", "refused", "net-error", "protocol-error", "circuit-open", "cancelled"
-	Err     string        // error text ("" on success)
-	Reused  bool          // served on a pooled connection
-	Retried bool          // retried on a fresh dial after a stale pooled conn
-	Batched bool          // sub-operation of a pipelined BATCH exchange
+	Seq     uint64        `json:"seq"`                  // recorder-assigned sequence number (1-based)
+	Time    time.Time     `json:"time"`                 // operation start, on the recording process's clock
+	Kind    string        `json:"kind"`                 // KindEvent, KindSpan, ... (FlightRecorder.Record defaults "" to KindEvent)
+	Trace   string        `json:"trace,omitempty"`      // trace ID shared across layers ("" when untraced)
+	Depot   string        `json:"depot,omitempty"`      // depot address host:port
+	Verb    string        `json:"verb,omitempty"`       // IBP verb (ALLOCATE, STORE, LOAD, ...)
+	Level   string        `json:"level,omitempty"`      // log level, for KindLog
+	Note    string        `json:"msg,omitempty"`        // free-form detail (extent range, hedge role, log message, ...)
+	Outcome string        `json:"outcome,omitempty"`    // "success", "timeout", "refused", "net-error", "protocol-error", "circuit-open", "cancelled"
+	Err     string        `json:"err,omitempty"`        // error text ("" on success)
+	Bytes   int64         `json:"bytes,omitempty"`      // payload bytes moved (0 when none or on failure)
+	Latency time.Duration `json:"latency_ns,omitempty"` // wall time of the exchange
+	Attrs   []string      `json:"attrs,omitempty"`      // extra key=value detail
 
-	// Trace correlation (empty when the operation was not traced).
-	Trace  string    // trace ID shared across layers
-	Span   string    // this event's span ID
-	Parent string    // parent span ID ("" for the root)
-	Note   string    // free-form detail (extent range, hedge role, ...)
-	Server *WireSpan // depot-reported server-side span, when returned
+	Span    string    `json:"span,omitempty"`    // this record's span ID
+	Parent  string    `json:"parent,omitempty"`  // parent span ID ("" for the root)
+	Reused  bool      `json:"reused,omitempty"`  // served on a pooled connection
+	Retried bool      `json:"retried,omitempty"` // retried on a fresh dial after a stale pooled conn
+	Batched bool      `json:"batched,omitempty"` // sub-operation of a pipelined BATCH exchange
+	Server  *WireSpan `json:"server,omitempty"`  // depot-side span: returned in the ts= trailer, or measured by the depot itself
 }
+
+// Event kinds.
+const (
+	KindLog      = "log"      // a structured log record
+	KindEvent    = "event"    // an IBP operation (or tool/extent step) seen by the client
+	KindHedge    = "hedge"    // a transfer-engine hedge event
+	KindSpan     = "span"     // a depot's own server-side span
+	KindBreaker  = "breaker"  // a health-scoreboard state transition
+	KindForecast = "forecast" // an NWS forecast-vs-measured sample
+	KindAlert    = "alert"    // an SLO burn-rate alert transition
+)
 
 // OK reports whether the operation succeeded.
 func (e Event) OK() bool { return e.Err == "" }
@@ -71,8 +89,7 @@ type aggregate struct {
 	bytes   int64
 	reused  int64
 	retried int64
-	lat     []float64 // seconds; ring once full
-	latPos  int
+	lat     stats.Ring[float64] // seconds, the last maxLatSamples
 	// ex holds the most recent traced sample per latency bucket of
 	// DefLatencyBounds (slot len(DefLatencyBounds) is +Inf), so the
 	// exposition can point a histogram spike at an assembled trace.
@@ -92,12 +109,7 @@ func (a *aggregate) observe(e Event) {
 		a.retried++
 	}
 	s := e.Latency.Seconds()
-	if len(a.lat) < maxLatSamples {
-		a.lat = append(a.lat, s)
-	} else {
-		a.lat[a.latPos] = s
-		a.latPos = (a.latPos + 1) % maxLatSamples
-	}
+	a.lat.Add(s)
 	if e.Trace != "" {
 		if a.ex == nil {
 			a.ex = make([]Exemplar, len(DefLatencyBounds)+1)
@@ -109,13 +121,10 @@ func (a *aggregate) observe(e Event) {
 // Collector is the standard Observer: a fixed-size ring of recent events
 // plus per-depot/per-verb aggregates. Safe for concurrent use.
 type Collector struct {
-	mu      sync.Mutex
-	ring    []Event
-	pos     int
-	n       int
-	seq     uint64
-	dropped uint64 // events overwritten before anyone read them
-	agg     map[aggKey]*aggregate
+	mu   sync.Mutex
+	ring stats.Ring[Event] // overwrites count as obs_ring_dropped_total{ring="events"}
+	seq  uint64
+	agg  map[aggKey]*aggregate
 }
 
 // DefaultRingSize is the recent-event capacity used when NewCollector is
@@ -128,7 +137,7 @@ func NewCollector(ringSize int) *Collector {
 		ringSize = DefaultRingSize
 	}
 	return &Collector{
-		ring: make([]Event, ringSize),
+		ring: stats.NewRing[Event](ringSize),
 		agg:  make(map[aggKey]*aggregate),
 	}
 }
@@ -139,21 +148,11 @@ func (c *Collector) Record(e Event) {
 	defer c.mu.Unlock()
 	c.seq++
 	e.Seq = c.seq
-	if c.n == len(c.ring) {
-		// The slot still holds a live event: ring overflow, not rotation
-		// into empty capacity. Count it so /metrics and reports can say how
-		// much recent history was silently lost under load.
-		c.dropped++
-	}
-	c.ring[c.pos] = e
-	c.pos = (c.pos + 1) % len(c.ring)
-	if c.n < len(c.ring) {
-		c.n++
-	}
+	c.ring.Add(e)
 	k := aggKey{Depot: e.Depot, Verb: e.Verb}
 	a := c.agg[k]
 	if a == nil {
-		a = &aggregate{}
+		a = &aggregate{lat: stats.NewRing[float64](maxLatSamples)}
 		c.agg[k] = a
 	}
 	a.observe(e)
@@ -163,19 +162,18 @@ func (c *Collector) Record(e Event) {
 // returns everything retained.
 func (c *Collector) Recent(n int) []Event {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n <= 0 || n > c.n {
-		n = c.n
+	evs := c.ring.Items()
+	c.mu.Unlock()
+	return lastN(evs, n)
+}
+
+// lastN trims an oldest-first slice to its n newest elements; n <= 0
+// keeps everything.
+func lastN(evs []Event, n int) []Event {
+	if n > 0 && n < len(evs) {
+		return evs[len(evs)-n:]
 	}
-	out := make([]Event, 0, n)
-	start := c.pos - n
-	if start < 0 {
-		start += len(c.ring)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, c.ring[(start+i)%len(c.ring)])
-	}
-	return out
+	return evs
 }
 
 // Total reports how many events have ever been recorded.
@@ -190,7 +188,7 @@ func (c *Collector) Total() uint64 {
 func (c *Collector) Dropped() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dropped
+	return c.ring.Dropped()
 }
 
 // AggRow is one (depot, verb) aggregate snapshot.
@@ -219,7 +217,7 @@ func (c *Collector) Snapshot() []AggRow {
 			Bytes:   a.bytes,
 			Reused:  a.reused,
 			Retried: a.retried,
-			Latency: stats.Summarize(a.lat),
+			Latency: stats.Summarize(a.lat.Items()),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -238,7 +236,7 @@ func (c *Collector) LatencyHistogram(depot, verb string, buckets int) *stats.His
 	var xs []float64
 	for k, a := range c.agg {
 		if (depot == "" || k.Depot == depot) && (verb == "" || k.Verb == verb) {
-			xs = append(xs, a.lat...)
+			xs = append(xs, a.lat.Items()...)
 		}
 	}
 	c.mu.Unlock()

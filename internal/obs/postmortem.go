@@ -53,7 +53,7 @@ type Bundle struct {
 	CreatedAt time.Time        `json:"created_at"`
 	Err       string           `json:"err,omitempty"`
 	Attempts  []BundleAttempt  `json:"attempts,omitempty"`
-	Entries   []Entry          `json:"entries,omitempty"`
+	Entries   []Event          `json:"entries,omitempty"`
 	Breakers  []BreakerSnap    `json:"breakers,omitempty"`
 	Forecasts []ForecastSample `json:"forecasts,omitempty"`
 	// RingDropped is the recorder's overflow count at cut time: how many

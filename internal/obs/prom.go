@@ -280,7 +280,7 @@ func (c *Collector) latencyCells() []latencyCell {
 	for k, a := range c.agg {
 		cells = append(cells, latencyCell{
 			depot: k.Depot, verb: k.Verb,
-			lat: append([]float64(nil), a.lat...),
+			lat: a.lat.Items(),
 			ex:  append([]Exemplar(nil), a.ex...),
 		})
 	}

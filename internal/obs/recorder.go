@@ -10,56 +10,23 @@ package obs
 // failure without anyone having had to watch it happen.
 
 import (
-	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/stats"
 )
 
-// EntryKind classifies one flight-recorder entry by its signal source.
-type EntryKind string
-
-// Entry kinds.
-const (
-	KindLog      EntryKind = "log"      // a structured log record
-	KindEvent    EntryKind = "event"    // an IBP operation event
-	KindHedge    EntryKind = "hedge"    // a transfer-engine hedge event
-	KindSpan     EntryKind = "span"     // a depot-reported server span
-	KindBreaker  EntryKind = "breaker"  // a health-scoreboard state transition
-	KindForecast EntryKind = "forecast" // an NWS forecast-vs-measured sample
-	KindAlert    EntryKind = "alert"    // an SLO burn-rate alert transition
-)
-
-// Entry is one retained observation. Fields are populated per kind; the
-// JSON encoding is the line format inside postmortem bundles.
-type Entry struct {
-	Seq       uint64    `json:"seq"`
-	Time      time.Time `json:"time"`
-	Kind      EntryKind `json:"kind"`
-	Trace     string    `json:"trace,omitempty"`
-	Depot     string    `json:"depot,omitempty"`
-	Verb      string    `json:"verb,omitempty"`
-	Level     string    `json:"level,omitempty"`
-	Msg       string    `json:"msg,omitempty"`
-	Outcome   string    `json:"outcome,omitempty"`
-	Err       string    `json:"err,omitempty"`
-	Bytes     int64     `json:"bytes,omitempty"`
-	LatencyNS int64     `json:"latency_ns,omitempty"`
-	Attrs     []string  `json:"attrs,omitempty"`
-}
-
-// DefaultRecorderSize is the entry capacity used when NewFlightRecorder is
+// DefaultRecorderSize is the event capacity used when NewFlightRecorder is
 // given a non-positive size.
 const DefaultRecorderSize = 512
 
-// FlightRecorder retains the last N entries. Safe for concurrent use; it
-// implements Observer so it can tee with a Collector on the IBP event
-// stream, and the slog tee handler feeds it log records.
+// FlightRecorder retains the last N events of every kind. Safe for
+// concurrent use; it implements Observer so it can tee with a Collector on
+// the IBP event stream, and the slog tee handler feeds it log records.
 type FlightRecorder struct {
 	mu      sync.Mutex
-	ring    []Entry
-	pos, n  int
+	ring    stats.Ring[Event] // overwrites count as obs_ring_dropped_total{ring="flight"}
 	seq     uint64
-	dropped uint64            // entries overwritten by ring overflow
 	bundles map[string]Bundle // last written bundle per trace, for /postmortem
 	order   []string          // bundle insertion order, oldest first
 }
@@ -67,41 +34,37 @@ type FlightRecorder struct {
 // maxStoredBundles bounds the retained postmortem bundles per process.
 const maxStoredBundles = 16
 
-// NewFlightRecorder builds a recorder keeping the last size entries.
+// NewFlightRecorder builds a recorder keeping the last size events.
 func NewFlightRecorder(size int) *FlightRecorder {
 	if size <= 0 {
 		size = DefaultRecorderSize
 	}
 	return &FlightRecorder{
-		ring:    make([]Entry, size),
+		ring:    stats.NewRing[Event](size),
 		bundles: make(map[string]Bundle),
 	}
 }
 
-// Add retains one entry.
-func (fr *FlightRecorder) Add(e Entry) {
+// Record implements Observer: it stamps the next sequence number, defaults
+// an empty Kind to KindEvent, and retains the event as is — a depot-returned
+// server span rides along in Event.Server.
+func (fr *FlightRecorder) Record(e Event) {
+	if e.Kind == "" {
+		e.Kind = KindEvent
+	}
 	fr.mu.Lock()
 	fr.seq++
 	e.Seq = fr.seq
-	if fr.n == len(fr.ring) {
-		// Overflow: the oldest retained entry is lost, and a postmortem cut
-		// now will start mid-story. Count it instead of hiding it.
-		fr.dropped++
-	}
-	fr.ring[fr.pos] = e
-	fr.pos = (fr.pos + 1) % len(fr.ring)
-	if fr.n < len(fr.ring) {
-		fr.n++
-	}
+	fr.ring.Add(e)
 	fr.mu.Unlock()
 }
 
-// Dropped reports how many entries the ring has overwritten — how much of
+// Dropped reports how many events the ring has overwritten — how much of
 // the recent past a postmortem bundle can no longer tell.
 func (fr *FlightRecorder) Dropped() uint64 {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	return fr.dropped
+	return fr.ring.Dropped()
 }
 
 // RingMetrics exposes the recorder's overflow counter, labeled ring=flight
@@ -115,71 +78,33 @@ func (fr *FlightRecorder) RingMetrics() []Metric {
 	}}
 }
 
-// Record implements Observer: every IBP op event (and HEDGE event — the
-// transfer engine shares the stream) is retained, and a depot-returned
-// server span becomes its own entry so the bundle carries both sides.
-func (fr *FlightRecorder) Record(ev Event) {
-	kind := KindEvent
-	if ev.Verb == "HEDGE" {
-		kind = KindHedge
-	}
-	fr.Add(Entry{
-		Time: ev.Time, Kind: kind, Trace: ev.Trace, Depot: ev.Depot,
-		Verb: ev.Verb, Outcome: ev.Outcome, Err: ev.Err, Bytes: ev.Bytes,
-		LatencyNS: ev.Latency.Nanoseconds(), Msg: ev.Note,
-	})
-	if ss := ev.Server; ss != nil {
-		fr.Add(Entry{
-			Time: ev.Time, Kind: KindSpan, Trace: ev.Trace, Depot: ev.Depot,
-			Verb: ev.Verb, Bytes: ss.Bytes, LatencyNS: ss.Total.Nanoseconds(),
-			Msg: fmt.Sprintf("server span %s: queue %s backend %s", ss.SpanID, ss.Queue, ss.Backend),
-		})
-	}
-}
-
 // BreakerTransition retains one health-scoreboard state change. The health
 // package calls this with its lock held, so it must stay allocation-light
 // and must not call back into the scoreboard.
 func (fr *FlightRecorder) BreakerTransition(addr, from, to string, at time.Time) {
-	fr.Add(Entry{
+	fr.Record(Event{
 		Time: at, Kind: KindBreaker, Depot: addr,
-		Msg: "breaker " + from + " -> " + to,
+		Note: "breaker " + from + " -> " + to,
 	})
 }
 
-// Recent returns up to n of the most recent entries, oldest first. n <= 0
+// Recent returns up to n of the most recent events, oldest first. n <= 0
 // returns everything retained.
-func (fr *FlightRecorder) Recent(n int) []Entry {
+func (fr *FlightRecorder) Recent(n int) []Event {
 	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	if n <= 0 || n > fr.n {
-		n = fr.n
-	}
-	out := make([]Entry, 0, n)
-	start := fr.pos - n
-	if start < 0 {
-		start += len(fr.ring)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, fr.ring[(start+i)%len(fr.ring)])
-	}
-	return out
+	evs := fr.ring.Items()
+	fr.mu.Unlock()
+	return lastN(evs, n)
 }
 
-// ForTrace returns the retained entries recorded under traceID, oldest
-// first. Untraced entries (daemon-level logs, breaker transitions) are
+// ForTrace returns the retained events recorded under traceID, oldest
+// first. Untraced events (daemon-level logs, breaker transitions) are
 // excluded; bundle construction folds those back in separately.
-func (fr *FlightRecorder) ForTrace(traceID string) []Entry {
-	var out []Entry
-	for _, e := range fr.Recent(0) {
-		if e.Trace == traceID {
-			out = append(out, e)
-		}
-	}
-	return out
+func (fr *FlightRecorder) ForTrace(traceID string) []Event {
+	return withTrace(fr.Recent(0), traceID)
 }
 
-// Total reports how many entries have ever been retained.
+// Total reports how many events have ever been retained.
 func (fr *FlightRecorder) Total() uint64 {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()

@@ -16,7 +16,7 @@ import (
 func TestFlightRecorderRingBounds(t *testing.T) {
 	fr := NewFlightRecorder(4)
 	for i := 0; i < 10; i++ {
-		fr.Add(Entry{Kind: KindEvent, Msg: fmt.Sprintf("e%d", i)})
+		fr.Record(Event{Kind: KindEvent, Note: fmt.Sprintf("e%d", i)})
 	}
 	got := fr.Recent(0)
 	if len(got) != 4 {
@@ -24,8 +24,8 @@ func TestFlightRecorderRingBounds(t *testing.T) {
 	}
 	// Oldest first, and only the newest four survive.
 	for i, e := range got {
-		if want := fmt.Sprintf("e%d", 6+i); e.Msg != want {
-			t.Errorf("entry %d = %q, want %q", i, e.Msg, want)
+		if want := fmt.Sprintf("e%d", 6+i); e.Note != want {
+			t.Errorf("entry %d = %q, want %q", i, e.Note, want)
 		}
 	}
 	if got[0].Seq >= got[1].Seq {
@@ -34,7 +34,7 @@ func TestFlightRecorderRingBounds(t *testing.T) {
 	if fr.Total() != 10 {
 		t.Errorf("Total() = %d, want 10", fr.Total())
 	}
-	if sub := fr.Recent(2); len(sub) != 2 || sub[1].Msg != "e9" {
+	if sub := fr.Recent(2); len(sub) != 2 || sub[1].Note != "e9" {
 		t.Errorf("Recent(2) = %+v, want the last two entries ending at e9", sub)
 	}
 }
@@ -42,22 +42,29 @@ func TestFlightRecorderRingBounds(t *testing.T) {
 func TestFlightRecorderObserverAndTrace(t *testing.T) {
 	fr := NewFlightRecorder(16)
 	fr.Record(Event{Verb: "LOAD", Depot: "d1:6714", Trace: "abc123", Outcome: "ok", Bytes: 42})
-	fr.Record(Event{Verb: "HEDGE", Depot: "d2:6714", Trace: "abc123", Outcome: "ok"})
+	fr.Record(Event{Kind: KindHedge, Verb: "HEDGE", Depot: "d2:6714", Trace: "abc123", Outcome: "ok"})
 	fr.Record(Event{
 		Verb: "LOAD", Depot: "d1:6714", Trace: "abc123", Outcome: "ok",
 		Server: &WireSpan{SpanID: "sp01", Queue: time.Millisecond, Backend: 2 * time.Millisecond, Bytes: 42},
 	})
 	fr.Record(Event{Verb: "STORE", Depot: "d3:6714", Trace: "other0", Outcome: "error", Err: "boom"})
 
-	kinds := map[EntryKind]int{}
+	kinds := map[string]int{}
 	for _, e := range fr.Recent(0) {
 		kinds[e.Kind]++
 	}
-	if kinds[KindEvent] != 3 || kinds[KindHedge] != 1 || kinds[KindSpan] != 1 {
-		t.Fatalf("kind counts = %v, want 3 events, 1 hedge, 1 span", kinds)
+	if kinds[KindEvent] != 3 || kinds[KindHedge] != 1 {
+		t.Fatalf("kind counts = %v, want 3 events, 1 hedge", kinds)
 	}
-	if got := fr.ForTrace("abc123"); len(got) != 4 {
-		t.Errorf("ForTrace(abc123) = %d entries, want 4 (2 loads + hedge + server span)", len(got))
+	got := fr.ForTrace("abc123")
+	if len(got) != 3 {
+		t.Fatalf("ForTrace(abc123) = %d events, want 3 (2 loads + hedge)", len(got))
+	}
+	// The server span rides in the client event, so the bundle carries
+	// both sides of the exchange.
+	if ss := got[2].Server; ss == nil || ss.SpanID != "sp01" || ss.Queue != time.Millisecond ||
+		ss.Backend != 2*time.Millisecond || ss.Bytes != 42 {
+		t.Errorf("server span not retained with its event: %+v", got[2].Server)
 	}
 	if got := fr.ForTrace("missing"); len(got) != 0 {
 		t.Errorf("ForTrace(missing) = %d entries, want 0", len(got))
@@ -97,8 +104,8 @@ func TestLoggerTeesIntoRecorder(t *testing.T) {
 	if e.Kind != KindLog || e.Depot != "d1:6714" || e.Verb != "STORE" || e.Trace != "feed01" {
 		t.Errorf("log entry did not fold attrs: %+v", e)
 	}
-	if e.Level != slog.LevelWarn.String() || e.Msg != "store failed" {
-		t.Errorf("log entry level/msg = %q/%q", e.Level, e.Msg)
+	if e.Level != slog.LevelWarn.String() || e.Note != "store failed" {
+		t.Errorf("log entry level/msg = %q/%q", e.Level, e.Note)
 	}
 	found := false
 	for _, a := range e.Attrs {

@@ -63,12 +63,12 @@ const TrailerPrefix = "ts="
 // how long the storage backend took, the exchange total, payload bytes, and
 // whether a capability violation was observed.
 type WireSpan struct {
-	SpanID    string
-	Queue     time.Duration
-	Backend   time.Duration
-	Total     time.Duration
-	Bytes     int64
-	Violation bool
+	SpanID    string        `json:"span"`
+	Queue     time.Duration `json:"queue_ns"`
+	Backend   time.Duration `json:"backend_ns"`
+	Total     time.Duration `json:"total_ns"`
+	Bytes     int64         `json:"bytes"`
+	Violation bool          `json:"violation,omitempty"`
 }
 
 // EncodeTrailer renders the span as a single status-line token
@@ -111,11 +111,10 @@ func ParseWireSpan(tok string) (WireSpan, bool) {
 }
 
 // TraceJSONHandler serves /trace/<traceID> from a flight recorder as a
-// JSON array of retained entries: 400 on a malformed ID, 404 when nothing
-// is retained for it. This is the generic daemon-side half of fleet trace
-// assembly — the depot serves its richer server spans from its own ring,
-// every other daemon serves whatever its recorder retained under the
-// trace, and obsd stitches both shapes into one timeline.
+// JSON array of retained events: 400 on a malformed ID, 404 when nothing
+// is retained for it. Every daemon serves its trace this way — a depot's
+// server spans are KindSpan events in its recorder — and obsd joins the
+// arrays into one timeline without converting between shapes.
 func TraceJSONHandler(fr *FlightRecorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/trace/")
@@ -125,7 +124,7 @@ func TraceJSONHandler(fr *FlightRecorder) http.Handler {
 		}
 		entries := fr.ForTrace(id)
 		if len(entries) == 0 {
-			http.Error(w, "no entries retained for trace "+id, http.StatusNotFound)
+			http.Error(w, "no spans retained for trace "+id, http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -137,8 +136,13 @@ func TraceJSONHandler(fr *FlightRecorder) http.Handler {
 // TraceEvents returns the retained events belonging to traceID, in
 // recording order.
 func (c *Collector) TraceEvents(traceID string) []Event {
+	return withTrace(c.Recent(0), traceID)
+}
+
+// withTrace returns the events of evs recorded under traceID, in order.
+func withTrace(evs []Event, traceID string) []Event {
 	var out []Event
-	for _, e := range c.Recent(0) {
+	for _, e := range evs {
 		if e.Trace == traceID {
 			out = append(out, e)
 		}

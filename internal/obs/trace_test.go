@@ -106,3 +106,26 @@ func TestRenderTraceTree(t *testing.T) {
 		t.Error("unknown trace should render a placeholder")
 	}
 }
+
+// FuzzParseWireSpan feeds arbitrary status-line tokens to the trailer
+// parser, which reads bytes straight off a depot's status line. It must
+// never panic, and every token it accepts must re-encode through
+// EncodeTrailer to a token that parses back to the same span. The seed
+// corpus lives in testdata/fuzz/FuzzParseWireSpan.
+func FuzzParseWireSpan(f *testing.F) {
+	f.Add(WireSpan{SpanID: "1a2b3c4d", Queue: 3, Backend: 4, Total: 9, Bytes: 512, Violation: true}.EncodeTrailer())
+	f.Fuzz(func(t *testing.T, tok string) {
+		ws, ok := ParseWireSpan(tok)
+		if !ok {
+			return
+		}
+		re := ws.EncodeTrailer()
+		back, ok := ParseWireSpan(re)
+		if !ok {
+			t.Fatalf("accepted %q, but its re-encoding %q does not parse", tok, re)
+		}
+		if back != ws {
+			t.Fatalf("%q parsed to %+v, re-encoded %q parsed to %+v", tok, ws, re, back)
+		}
+	})
+}

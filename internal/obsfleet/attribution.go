@@ -7,13 +7,13 @@ package obsfleet
 // time by interval union:
 //
 //	tool           — root DOWNLOAD/UPLOAD events on the client
-//	core           — client-side spans (routing, planning)
-//	transfer       — hedged-transfer entries
+//	core           — core's synthetic EXTENT events (the ranked failover walk)
+//	transfer       — hedge events
 //	ibp            — client-observed IBP exchanges (includes the timeout
 //	                 burned against a dead depot: obs.Event records wall
 //	                 time for failures too)
-//	depot-queue    — server-side time waiting in the depot's queue
-//	depot-backend  — server-side time in the depot's storage backend
+//	depot-queue    — a depot span's Server.Queue: time in the depot's queue
+//	depot-backend  — a depot span's Server.Backend: time in its storage backend
 //
 // Per-depot busy time is unioned from the client-observed exchanges
 // against each depot, so "p99 traces spend their tail waiting on depot X"
@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -51,15 +52,13 @@ type attribution struct {
 	mu   sync.Mutex
 	seen map[string]bool // trace IDs already joined (bounded FIFO)
 	fifo []string
-	recs []traceAttr // ring of decompositions
-	pos  int
-	n    int
+	recs stats.Ring[traceAttr] // the last maxAttrTraces decompositions
 }
 
 func newAttribution() *attribution {
 	return &attribution{
 		seen: make(map[string]bool),
-		recs: make([]traceAttr, maxAttrTraces),
+		recs: stats.NewRing[traceAttr](maxAttrTraces),
 	}
 }
 
@@ -95,11 +94,7 @@ func (a *Aggregator) attributeSweep(view []*member) {
 			continue
 		}
 		a.attr.mu.Lock()
-		a.attr.recs[a.attr.pos] = rec
-		a.attr.pos = (a.attr.pos + 1) % len(a.attr.recs)
-		if a.attr.n < len(a.attr.recs) {
-			a.attr.n++
-		}
+		a.attr.recs.Add(rec)
 		a.attr.mu.Unlock()
 	}
 }
@@ -165,11 +160,11 @@ func decompose(ft FleetTrace) traceAttr {
 	layerIvs := map[string][]ival{}
 	depotIvs := map[string][]ival{}
 	var first, last time.Time
-	add := func(layer string, start time.Time, ns int64, depot string) {
-		if ns <= 0 || start.IsZero() {
+	add := func(layer string, start time.Time, d time.Duration, depot string) {
+		if d <= 0 || start.IsZero() {
 			return
 		}
-		end := start.Add(time.Duration(ns))
+		end := start.Add(d)
 		layerIvs[layer] = append(layerIvs[layer], ival{start, end})
 		if depot != "" {
 			depotIvs[depot] = append(depotIvs[depot], ival{start, end})
@@ -183,16 +178,18 @@ func decompose(ft FleetTrace) traceAttr {
 	}
 	for _, s := range ft.Spans {
 		switch s.Kind {
-		case "server-span":
+		case obs.KindSpan:
 			// The depot's own account of the exchange: queue wait, then
 			// the backend. Per-depot time is attributed from the client
 			// side below, so a dead depot (which serves no spans) still
 			// shows up.
-			add("depot-queue", s.Time, s.QueueNS, "")
-			add("depot-backend", s.Time.Add(time.Duration(s.QueueNS)), s.BackendNS, "")
-		case "hedge":
-			add("transfer", s.Time, s.DurationNS, s.Depot)
-		case "event":
+			if ss := s.Server; ss != nil {
+				add("depot-queue", s.Time, ss.Queue, "")
+				add("depot-backend", s.Time.Add(ss.Queue), ss.Backend, "")
+			}
+		case obs.KindHedge:
+			add("transfer", s.Time, s.Latency, s.Depot)
+		case obs.KindEvent:
 			switch {
 			case s.Verb == "EXTENT":
 				// core's synthetic extent event: the wall time of the whole
@@ -200,14 +197,12 @@ func decompose(ft FleetTrace) traceAttr {
 				// served the extent, but the time covers every attempt
 				// before it too — core layer, no depot attribution (the
 				// per-attempt exchange events below carry that truth).
-				add("core", s.Time, s.DurationNS, "")
+				add("core", s.Time, s.Latency, "")
 			case s.Depot == "":
-				add("tool", s.Time, s.DurationNS, "")
+				add("tool", s.Time, s.Latency, "")
 			default:
-				add("ibp", s.Time, s.DurationNS, s.Depot)
+				add("ibp", s.Time, s.Latency, s.Depot)
 			}
-		case "span":
-			add("core", s.Time, s.DurationNS, "")
 		}
 	}
 	if first.IsZero() || !last.After(first) {
@@ -261,14 +256,7 @@ func (a *Aggregator) Attribution() AttributionReport {
 		return rep
 	}
 	a.attr.mu.Lock()
-	recs := make([]traceAttr, 0, a.attr.n)
-	start := a.attr.pos - a.attr.n
-	if start < 0 {
-		start += len(a.attr.recs)
-	}
-	for i := 0; i < a.attr.n; i++ {
-		recs = append(recs, a.attr.recs[(start+i)%len(a.attr.recs)])
-	}
+	recs := a.attr.recs.Items()
 	a.attr.mu.Unlock()
 	rep.Traces = len(recs)
 	if len(recs) == 0 {

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/depot"
 	"repro/internal/lbone"
 	"repro/internal/obs"
 	"repro/internal/slo"
@@ -20,10 +19,14 @@ import (
 
 const testTrace = "feedc0de00112233"
 
-// newDepotMember serves the depot-side shapes: /metrics and /trace/<id>
-// with []depot.ServerSpan.
-func newDepotMember(t *testing.T, spans []depot.ServerSpan) *httptest.Server {
+// newDepotMember serves what a depot serves: /metrics, and /trace/<id>
+// from a flight recorder holding the depot's KindSpan events.
+func newDepotMember(t *testing.T, spans []obs.Event) *httptest.Server {
 	t.Helper()
+	fr := obs.NewFlightRecorder(0)
+	for _, s := range spans {
+		fr.Record(s)
+	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.MetricsHandler(func() []obs.Metric {
 		return []obs.Metric{
@@ -31,24 +34,7 @@ func newDepotMember(t *testing.T, spans []depot.ServerSpan) *httptest.Server {
 				Labels: []obs.Label{{Name: "verb", Value: "load"}}},
 		}
 	}))
-	mux.HandleFunc("/trace/", func(w http.ResponseWriter, r *http.Request) {
-		id := strings.TrimPrefix(r.URL.Path, "/trace/")
-		if !obs.ValidTraceID(id) {
-			http.Error(w, "bad id", http.StatusBadRequest)
-			return
-		}
-		var match []depot.ServerSpan
-		for _, s := range spans {
-			if s.TraceID == id {
-				match = append(match, s)
-			}
-		}
-		if len(match) == 0 {
-			http.Error(w, "no spans", http.StatusNotFound)
-			return
-		}
-		json.NewEncoder(w).Encode(match)
-	})
+	mux.Handle("/trace/", obs.TraceJSONHandler(fr))
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
@@ -88,12 +74,13 @@ func ctrl(srv *httptest.Server, component, name string) lbone.ControlInfo {
 func newTestFleet(t *testing.T) (*Aggregator, string) {
 	t.Helper()
 	start := time.Date(2002, 1, 11, 15, 0, 0, 0, time.UTC)
-	depotSrv := newDepotMember(t, []depot.ServerSpan{{
-		TraceID: testTrace, SpanID: "d1", Parent: "c1", Verb: "LOAD",
-		Start: start.Add(10 * time.Millisecond), Total: 5 * time.Millisecond, Bytes: 4096,
+	depotSrv := newDepotMember(t, []obs.Event{{
+		Kind: obs.KindSpan, Trace: testTrace, Span: "d1", Parent: "c1", Verb: "LOAD",
+		Time: start.Add(10 * time.Millisecond), Latency: 5 * time.Millisecond, Bytes: 4096,
+		Server: &obs.WireSpan{SpanID: "d1", Total: 5 * time.Millisecond, Bytes: 4096},
 	}})
 	fr := obs.NewFlightRecorder(32)
-	fr.Add(obs.Entry{Kind: obs.KindEvent, Trace: testTrace, Verb: "DOWNLOAD",
+	fr.Record(obs.Event{Kind: obs.KindEvent, Trace: testTrace, Verb: "DOWNLOAD",
 		Time: start, Outcome: "success", Bytes: 4096})
 	recSrv := newRecorderMember(t, fr, nil)
 
@@ -141,7 +128,7 @@ func TestFleetEndpointHardening(t *testing.T) {
 			wantBody: []string{`"partial": true`, `"unreachable"`}},
 		{name: "trace known id joins members", method: "GET",
 			path: "/fleet/trace/" + testTrace, wantStatus: 200,
-			wantBody: []string{`"server-span"`, `"DOWNLOAD"`, `"ibp-depot"`, `"maintaind"`}},
+			wantBody: []string{`"kind": "span"`, `"DOWNLOAD"`, `"ibp-depot"`, `"maintaind"`}},
 		{name: "slo post rejected", method: "POST",
 			path: "/fleet/slo", wantStatus: 405},
 		{name: "slo partial flags down member", method: "GET",
@@ -220,7 +207,7 @@ func TestFleetTraceFallsBackToPostmortem(t *testing.T) {
 	fr := obs.NewFlightRecorder(8)
 	fr.StoreBundle(obs.Bundle{
 		Trace: testTrace, Reason: "transfer-failure", Component: "maintaind",
-		Entries: []obs.Entry{{Kind: obs.KindEvent, Trace: testTrace, Verb: "STORE",
+		Entries: []obs.Event{{Kind: obs.KindEvent, Trace: testTrace, Verb: "STORE",
 			Time: time.Date(2002, 1, 11, 15, 0, 1, 0, time.UTC), Outcome: "timeout"}},
 	})
 	recSrv := newRecorderMember(t, fr, nil)
@@ -380,7 +367,7 @@ func TestScrapeRaceAgainstLiveCollector(t *testing.T) {
 					Latency: time.Duration(i%40) * time.Millisecond,
 					Trace:   "aabbccdd00112233", Span: "01",
 				})
-				fr.Add(obs.Entry{Kind: obs.KindEvent, Msg: "op"})
+				fr.Record(obs.Event{Kind: obs.KindEvent, Note: "op"})
 				i++
 			}
 		}(g)

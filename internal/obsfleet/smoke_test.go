@@ -370,7 +370,7 @@ func TestObsdFleetSmoke(t *testing.T) {
 	for _, s := range ft.Spans {
 		daemons[s.Member] = true
 		switch {
-		case s.Kind == "server-span":
+		case s.Kind == obs.KindSpan:
 			serverSpans++
 		case s.Source == "trace" && s.Member == harnessAddr:
 			clientEntries++

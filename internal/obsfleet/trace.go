@@ -2,12 +2,13 @@ package obsfleet
 
 // Cross-daemon trace assembly. One tool operation leaves fragments of
 // its trace all over the fleet: the client's flight recorder holds the
-// root span and per-extent events, each depot's span ring holds the
-// server-side view of every exchange, the maintenance daemons hold
-// repair spans, and a failed operation leaves a postmortem bundle. The
-// assembler fans the trace ID out to every member's /trace/<id> (and
-// /postmortem/<trace> as a fallback when the live ring already aged the
-// entries out) and stitches the answers into one time-ordered timeline.
+// root span and per-extent events, each depot's flight recorder holds the
+// server-side span of every exchange, the maintenance daemons hold
+// repair spans, and a failed operation leaves a postmortem bundle. All of
+// them are obs.Events. The assembler fans the trace ID out to every
+// member's /trace/<id> (and /postmortem/<trace> as a fallback when the
+// live ring already aged the events out) and stitches the answers into
+// one time-ordered timeline.
 //
 // Partial fleets are flagged, never hidden: a member that cannot be
 // reached is a detected failure (freestore taxonomy), not an empty
@@ -20,31 +21,17 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// TimelineSpan is one normalized span or event in the joined timeline,
-// whichever daemon shape it came from.
+// TimelineSpan is one record of the joined timeline: the member's own
+// obs.Event, unchanged, tagged with who served it and how.
 type TimelineSpan struct {
-	Member     string    `json:"member"`    // control address that served it
-	Component  string    `json:"component"` // "ibp-depot", "maintaind", "xnd", ...
-	Source     string    `json:"source"`    // "trace" or "postmortem"
-	Kind       string    `json:"kind"`      // entry kind, or "server-span" for depot rings
-	Trace      string    `json:"trace"`
-	Span       string    `json:"span,omitempty"`
-	Parent     string    `json:"parent,omitempty"`
-	Verb       string    `json:"verb,omitempty"`
-	Depot      string    `json:"depot,omitempty"`
-	Time       time.Time `json:"time"`
-	DurationNS int64     `json:"duration_ns,omitempty"`
-	QueueNS    int64     `json:"queue_ns,omitempty"`   // server-span: depot queue wait
-	BackendNS  int64     `json:"backend_ns,omitempty"` // server-span: storage backend time
-	Bytes      int64     `json:"bytes,omitempty"`
-	Outcome    string    `json:"outcome,omitempty"`
-	Err        string    `json:"err,omitempty"`
-	Msg        string    `json:"msg,omitempty"`
+	Member    string `json:"member"`    // control address that served it
+	Component string `json:"component"` // "ibp-depot", "maintaind", "xnd", ...
+	Source    string `json:"source"`    // "trace" or "postmortem"
+	obs.Event
 }
 
 // MemberTraceStatus reports how one member answered the fan-out.
@@ -62,77 +49,6 @@ type FleetTrace struct {
 	Partial bool                `json:"partial"` // some member could not be asked
 	Members []MemberTraceStatus `json:"members"`
 	Spans   []TimelineSpan      `json:"spans"`
-}
-
-// flexSpan decodes both member trace shapes with one struct: the
-// depot's ServerSpan ("span", "start", "queue_wait_ns", ...) and the
-// generic flight-recorder Entry ("kind", "time", "latency_ns", ...).
-// The shared keys ("trace", "verb", "bytes") mean the same thing in
-// both.
-type flexSpan struct {
-	Trace  string `json:"trace"`
-	Verb   string `json:"verb"`
-	Bytes  int64  `json:"bytes"`
-	Parent string `json:"parent"`
-
-	// Depot server-span fields.
-	Span      string     `json:"span"`
-	Start     *time.Time `json:"start"`
-	QueueWait int64      `json:"queue_wait_ns"`
-	Backend   int64      `json:"backend_ns"`
-	TotalNS   int64      `json:"total_ns"`
-	Violation bool       `json:"violation"`
-	Code      string     `json:"code"`
-
-	// Flight-recorder entry fields.
-	Kind      string     `json:"kind"`
-	Time      *time.Time `json:"time"`
-	LatencyNS int64      `json:"latency_ns"`
-	Outcome   string     `json:"outcome"`
-	Err       string     `json:"err"`
-	Msg       string     `json:"msg"`
-	Depot     string     `json:"depot"`
-}
-
-// normalize converts a decoded span into the joined-timeline shape.
-func (f flexSpan) normalize(m *member, source, traceID string) TimelineSpan {
-	ts := TimelineSpan{
-		Member:    m.info.Addr,
-		Component: m.info.Component,
-		Source:    source,
-		Trace:     traceID,
-		Verb:      f.Verb,
-		Bytes:     f.Bytes,
-		Parent:    f.Parent,
-	}
-	if f.Start != nil { // depot server span
-		ts.Kind = "server-span"
-		ts.Span = f.Span
-		ts.Time = *f.Start
-		ts.DurationNS = f.TotalNS
-		ts.QueueNS = f.QueueWait
-		ts.BackendNS = f.Backend
-		ts.Depot = m.info.Name
-		switch {
-		case f.Violation:
-			ts.Outcome = "violation"
-		case f.Code != "":
-			ts.Outcome = f.Code
-		default:
-			ts.Outcome = "ok"
-		}
-		return ts
-	}
-	ts.Kind = f.Kind
-	if f.Time != nil {
-		ts.Time = *f.Time
-	}
-	ts.DurationNS = f.LatencyNS
-	ts.Outcome = f.Outcome
-	ts.Err = f.Err
-	ts.Msg = f.Msg
-	ts.Depot = f.Depot
-	return ts
 }
 
 // AssembleTrace fans traceID out to the current member set and joins
@@ -164,58 +80,36 @@ func (a *Aggregator) AssembleTrace(traceID string) FleetTrace {
 }
 
 // memberTrace asks one member for a trace: /trace/<id> first, then the
-// postmortem bundle when the live ring had nothing (entries age out of
+// postmortem bundle when the live ring had nothing (events age out of
 // a small ring long before the incident's bundle does). A 404 from
 // both is "no spans" (nil error); transport failures are unreachable.
 func (a *Aggregator) memberTrace(m *member, traceID string) ([]TimelineSpan, error) {
-	body, err := a.get(m.info.Addr, "/trace/"+traceID)
-	if err == nil {
-		var raw []flexSpan
-		if jerr := json.Unmarshal(body, &raw); jerr != nil {
-			return nil, jerr
-		}
-		out := make([]TimelineSpan, 0, len(raw))
-		for _, f := range raw {
-			out = append(out, f.normalize(m, "trace", traceID))
-		}
-		return out, nil
-	}
+	source, evs := "trace", []obs.Event(nil)
+	live, err := getJSON[[]obs.Event](a, m.info.Addr, "/trace/"+traceID)
 	var herr *httpStatusError
-	if !errors.As(err, &herr) {
+	switch {
+	case err == nil:
+		evs = *live
+	case !errors.As(err, &herr):
 		return nil, err // transport failure: member unreachable
-	}
-	if herr.status != http.StatusNotFound {
+	case herr.status != http.StatusNotFound:
 		// 400s mean the member rejected the ID; the handler validated it
 		// already, so treat anything else as that member misbehaving.
 		return nil, err
-	}
-	// Live ring empty; try the postmortem bundle.
-	bundle, err := getJSON[obs.Bundle](a, m.info.Addr, "/postmortem/"+traceID)
-	if err != nil {
-		var herr *httpStatusError
-		if errors.As(err, &herr) {
-			return nil, nil // no bundle either: genuinely no data
+	default:
+		// Live ring empty; try the postmortem bundle.
+		bundle, err := getJSON[obs.Bundle](a, m.info.Addr, "/postmortem/"+traceID)
+		if err != nil {
+			if errors.As(err, &herr) {
+				return nil, nil // no bundle either: genuinely no data
+			}
+			return nil, err
 		}
-		return nil, err
+		source, evs = "postmortem", bundle.Entries
 	}
-	out := make([]TimelineSpan, 0, len(bundle.Entries))
-	for _, e := range bundle.Entries {
-		t := e.Time
-		out = append(out, TimelineSpan{
-			Member:     m.info.Addr,
-			Component:  m.info.Component,
-			Source:     "postmortem",
-			Kind:       string(e.Kind),
-			Trace:      traceID,
-			Verb:       e.Verb,
-			Depot:      e.Depot,
-			Time:       t,
-			DurationNS: e.LatencyNS,
-			Bytes:      e.Bytes,
-			Outcome:    e.Outcome,
-			Err:        e.Err,
-			Msg:        e.Msg,
-		})
+	out := make([]TimelineSpan, 0, len(evs))
+	for _, e := range evs {
+		out = append(out, TimelineSpan{Member: m.info.Addr, Component: m.info.Component, Source: source, Event: e})
 	}
 	return out, nil
 }

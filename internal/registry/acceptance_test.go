@@ -225,7 +225,7 @@ func TestQuorumSurvivesMinorityKillDetectsMajorityKill(t *testing.T) {
 	}
 	found := false
 	for _, e := range bundle.Entries {
-		if strings.Contains(e.Msg, "majority lost") {
+		if strings.Contains(e.Note, "majority lost") {
 			found = true
 		}
 	}

@@ -183,7 +183,7 @@ func TestOutageFiresAlertAndCutsMatchingBundle(t *testing.T) {
 				t.Errorf("failed op at %v outside the outage [%v, %v]: %+v", e.Time, outageFrom, outageTo, e)
 			}
 		case e.Kind == obs.KindBreaker && e.Depot == dead.Addr:
-			if e.Msg == "breaker closed -> open" {
+			if e.Note == "breaker closed -> open" {
 				breakerOpens++
 				if e.Time.Before(outageFrom) || e.Time.After(outageTo) {
 					t.Errorf("breaker opened at %v outside the outage: %+v", e.Time, e)

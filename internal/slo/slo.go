@@ -155,9 +155,7 @@ type series struct {
 	totalGood int64
 	totalBad  int64
 
-	lat     []float64
-	latPos  int
-	latFull bool
+	lat stats.Ring[float64] // seconds, the last maxLatencySamples
 }
 
 // Engine accumulates SLI samples and evaluates burn-rate rules on demand.
@@ -221,7 +219,7 @@ func (e *Engine) seriesFor(k sliKey) *series {
 	s := e.series[k]
 	if s == nil {
 		n := int(e.span/e.cfg.Bucket) + 2
-		s = &series{buckets: make([]bucket, n)}
+		s = &series{buckets: make([]bucket, n), lat: stats.NewRing[float64](maxLatencySamples)}
 		for i := range s.buckets {
 			s.buckets[i].idx = -1
 		}
@@ -264,14 +262,7 @@ func (e *Engine) RecordLatency(sli SLI, key string, seconds float64) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s := e.seriesFor(sliKey{sli, key})
-	if len(s.lat) < maxLatencySamples {
-		s.lat = append(s.lat, seconds)
-		return
-	}
-	s.lat[s.latPos] = seconds
-	s.latPos = (s.latPos + 1) % maxLatencySamples
-	s.latFull = true
+	e.seriesFor(sliKey{sli, key}).lat.Add(seconds)
 }
 
 // window sums the good/bad counts over the trailing window ending now.
@@ -386,9 +377,9 @@ func (e *Engine) Evaluate() []Alert {
 				"burn_short", fmt.Sprintf("%.2f", a.BurnShort))
 		}
 		if rec != nil {
-			rec.Add(obs.Entry{
+			rec.Record(obs.Event{
 				Time: now, Kind: obs.KindAlert, Depot: a.Key,
-				Msg: fmt.Sprintf("slo alert %s: %s/%s burn long %.2f short %.2f",
+				Note: fmt.Sprintf("slo alert %s: %s/%s burn long %.2f short %.2f",
 					verb, a.Objective, a.Rule, a.BurnLong, a.BurnShort),
 				Level: "WARN",
 			})
@@ -473,10 +464,10 @@ type Status struct {
 // tsdb uses for quantile_over_time over scraped _bucket series, so a
 // member's /slo quantile and a fleet-level query agree on the number.
 func (s *series) latQuantiles() (p50, p95, p99 float64) {
-	if len(s.lat) == 0 {
+	if s.lat.Len() == 0 {
 		return 0, 0, 0
 	}
-	bs := stats.CumulativeBuckets(obs.DefLatencyBounds, s.lat)
+	bs := stats.CumulativeBuckets(obs.DefLatencyBounds, s.lat.Items())
 	q := func(p float64) float64 {
 		v := stats.HistogramQuantile(p, bs)
 		if math.IsNaN(v) {

@@ -70,7 +70,7 @@ func (m *Monitor) latencyHistograms() []obs.Metric {
 	}
 	samplesFor := map[string][]float64{}
 	for _, a := range addrs {
-		for _, sm := range m.byDepot[a].ordered() {
+		for _, sm := range m.byDepot[a].samples.Items() {
 			if sm.Up {
 				samplesFor[a] = append(samplesFor[a], sm.ProbeLatency.Seconds())
 			}

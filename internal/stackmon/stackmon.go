@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/ibp"
 	"repro/internal/slo"
+	"repro/internal/stats"
 	"repro/internal/vclock"
 )
 
@@ -75,9 +76,7 @@ type Sample struct {
 
 // series is the retained state for one depot.
 type series struct {
-	samples []Sample // ring, oldest at pos when full
-	pos     int
-	full    bool
+	samples stats.Ring[Sample]
 
 	// Lifetime counters (exact even after the ring rotates).
 	sweeps       int
@@ -90,14 +89,8 @@ type series struct {
 	lastErr      string
 }
 
-func (s *series) add(max int, sm Sample) {
-	if len(s.samples) < max {
-		s.samples = append(s.samples, sm)
-	} else {
-		s.samples[s.pos] = sm
-		s.pos = (s.pos + 1) % len(s.samples)
-		s.full = true
-	}
+func (s *series) add(sm Sample) {
+	s.samples.Add(sm)
 	s.sweeps++
 	if sm.Up {
 		s.up++
@@ -112,17 +105,6 @@ func (s *series) add(max int, sm Sample) {
 	}
 	s.lastUp = sm.Up
 	s.lastErr = sm.Err
-}
-
-// ordered returns the retained samples oldest first.
-func (s *series) ordered() []Sample {
-	if !s.full {
-		return append([]Sample(nil), s.samples...)
-	}
-	out := make([]Sample, 0, len(s.samples))
-	out = append(out, s.samples[s.pos:]...)
-	out = append(out, s.samples[:s.pos]...)
-	return out
 }
 
 // Monitor runs the availability study.
@@ -270,11 +252,11 @@ func (m *Monitor) record(addr string, sm Sample) {
 	s := m.byDepot[addr]
 	known := s != nil
 	if !known {
-		s = &series{}
+		s = &series{samples: stats.NewRing[Sample](m.cfg.MaxSamples)}
 		m.byDepot[addr] = s
 	}
 	wasUp := s.lastUp
-	s.add(m.cfg.MaxSamples, sm)
+	s.add(sm)
 	m.mu.Unlock()
 	m.cfg.SLO.Record(slo.DepotAvailability, addr, sm.Up)
 	if sm.Up {
@@ -391,7 +373,7 @@ func (m *Monitor) Snapshot(withSamples bool) Study {
 			ds.MeanMbps = s.mbpsSum / float64(s.dataOK)
 		}
 		if withSamples {
-			ds.Samples = s.ordered()
+			ds.Samples = s.samples.Items()
 		}
 		st.Depots = append(st.Depots, ds)
 	}

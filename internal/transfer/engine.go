@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/health"
 	"repro/internal/obs"
+	"repro/internal/stats"
 	"repro/internal/vclock"
 )
 
@@ -125,16 +126,15 @@ type Engine struct {
 	lim *limiter
 	sf  *singleflight
 
-	mu     sync.Mutex
-	lat    []float64 // observed success latencies, seconds (ring)
-	latPos int
-	c      Counters
+	mu  sync.Mutex
+	lat stats.Ring[float64] // observed success latencies, seconds
+	c   Counters
 }
 
 // New builds an engine.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{cfg: cfg, sf: newSingleflight()}
+	e := &Engine{cfg: cfg, sf: newSingleflight(), lat: stats.NewRing[float64](maxObserved)}
 	e.lim = newLimiter(cfg.MaxPerDepot, cfg.Forecast)
 	return e
 }
@@ -165,13 +165,7 @@ func (e *Engine) observe(d time.Duration) {
 		return
 	}
 	e.mu.Lock()
-	s := d.Seconds()
-	if len(e.lat) < maxObserved {
-		e.lat = append(e.lat, s)
-	} else {
-		e.lat[e.latPos] = s
-	}
-	e.latPos = (e.latPos + 1) % maxObserved
+	e.lat.Add(d.Seconds())
 	e.mu.Unlock()
 }
 
@@ -180,10 +174,10 @@ func (e *Engine) observe(d time.Duration) {
 func (e *Engine) observedMedian() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.lat) == 0 {
+	if e.lat.Len() == 0 {
 		return 0
 	}
-	s := append([]float64(nil), e.lat...)
+	s := e.lat.Items()
 	sort.Float64s(s)
 	return s[len(s)/2]
 }
@@ -250,7 +244,7 @@ func (e *Engine) emit(sc obs.SpanContext, addr, outcome, note string, lat time.D
 		return
 	}
 	ev := obs.Event{
-		Time: e.cfg.Clock.Now(), Verb: "HEDGE", Depot: addr,
+		Time: e.cfg.Clock.Now(), Kind: obs.KindHedge, Verb: "HEDGE", Depot: addr,
 		Outcome: outcome, Note: note, Latency: lat,
 	}
 	if sc.Sampled && sc.Valid() {

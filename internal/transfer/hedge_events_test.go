@@ -29,8 +29,8 @@ func TestHedgeEmitsObserverEvents(t *testing.T) {
 
 	byOutcome := map[string]obs.Event{}
 	for _, ev := range col.Recent(0) {
-		if ev.Verb != "HEDGE" {
-			t.Errorf("unexpected verb %q: %+v", ev.Verb, ev)
+		if ev.Verb != "HEDGE" || ev.Kind != obs.KindHedge {
+			t.Errorf("unexpected verb/kind %q/%q: %+v", ev.Verb, ev.Kind, ev)
 			continue
 		}
 		byOutcome[ev.Outcome] = ev

@@ -28,6 +28,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Label is one name="value" pair on a series.
@@ -93,10 +95,8 @@ type Config struct {
 type series struct {
 	name   string
 	labels []Label
-	ring   []Point
-	pos, n int
+	ring   stats.Ring[Point] // overwrites count as the series' dropped points
 
-	dropped uint64  // points overwritten by ring overflow
 	resets  uint64  // counter-reset appends observed (value went backwards)
 	lastV   float64 // most recent appended value
 	hasLast bool
@@ -144,7 +144,7 @@ func (st *Store) Append(t time.Time, samples []Sample) {
 			s = &series{
 				name:   sm.Name,
 				labels: append([]Label(nil), sm.Labels...),
-				ring:   make([]Point, st.cfg.MaxSamples),
+				ring:   stats.NewRing[Point](st.cfg.MaxSamples),
 			}
 			st.series[k] = s
 		}
@@ -152,38 +152,18 @@ func (st *Store) Append(t time.Time, samples []Sample) {
 			s.resets++
 		}
 		s.lastV, s.hasLast = sm.Value, true
-		if s.n == len(s.ring) {
-			s.dropped++
-		}
-		s.ring[s.pos] = Point{T: t, V: sm.Value}
-		s.pos = (s.pos + 1) % len(s.ring)
-		if s.n < len(s.ring) {
-			s.n++
-		}
+		s.ring.Add(Point{T: t, V: sm.Value})
 	}
-}
-
-// points returns the retained points of s, oldest first.
-func (s *series) points() []Point {
-	out := make([]Point, 0, s.n)
-	start := s.pos - s.n
-	if start < 0 {
-		start += len(s.ring)
-	}
-	for i := 0; i < s.n; i++ {
-		out = append(out, s.ring[(start+i)%len(s.ring)])
-	}
-	return out
 }
 
 // SeriesView is one series' snapshot for selection and inventory.
 type SeriesView struct {
-	Name    string  `json:"name"`
-	Labels  []Label `json:"labels,omitempty"`
-	Points  []Point `json:"-"`
-	Samples int     `json:"samples"`
-	Dropped uint64  `json:"dropped"` // points overwritten by the bounded ring
-	Resets  uint64  `json:"resets"`  // counter resets observed at ingest
+	Name    string    `json:"name"`
+	Labels  []Label   `json:"labels,omitempty"`
+	Points  []Point   `json:"-"`
+	Samples int       `json:"samples"`
+	Dropped uint64    `json:"dropped"` // points overwritten by the bounded ring
+	Resets  uint64    `json:"resets"`  // counter resets observed at ingest
 	First   time.Time `json:"first,omitempty"`
 	Last    time.Time `json:"last,omitempty"`
 }
@@ -229,13 +209,13 @@ func (st *Store) selectLocked(name string, matchers []Label) []SeriesView {
 }
 
 func (st *Store) viewLocked(s *series) SeriesView {
-	pts := s.points()
+	pts := s.ring.Items()
 	v := SeriesView{
 		Name:    s.name,
 		Labels:  append([]Label(nil), s.labels...),
 		Points:  pts,
 		Samples: len(pts),
-		Dropped: s.dropped,
+		Dropped: s.ring.Dropped(),
 		Resets:  s.resets,
 	}
 	if len(pts) > 0 {
@@ -273,7 +253,7 @@ func (st *Store) Inventory() Inventory {
 		v := st.viewLocked(s)
 		v.Points = nil
 		inv.Series = append(inv.Series, v)
-		inv.DroppedPoints += s.dropped
+		inv.DroppedPoints += s.ring.Dropped()
 		inv.Resets += s.resets
 	}
 	sort.Slice(inv.Series, func(i, j int) bool {

@@ -1,5 +1,6 @@
 // Package stats provides the summary statistics and terminal rendering used
-// by the experiment harness to regenerate the paper's tables and figures.
+// by the experiment harness to regenerate the paper's tables and figures,
+// and the bounded Ring every keep-last-N buffer in the stack is built on.
 package stats
 
 import (

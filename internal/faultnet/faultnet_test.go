@@ -13,6 +13,7 @@ import (
 	"repro/internal/depot"
 	"repro/internal/ibp"
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
 var t0 = time.Date(2002, 1, 11, 15, 0, 0, 0, time.UTC)
@@ -346,5 +347,98 @@ func TestDepotUpLinkUpQueries(t *testing.T) {
 	}
 	if !m.LinkUp("A", "A") {
 		t.Fatal("local link should be up")
+	}
+}
+
+// TestConditionsApplyPerExchange runs several request/response exchanges
+// on one dialed connection, changing the model between them. A pooled
+// client carries many operations on one connection, so every scripted
+// change must reach a live connection at its next exchange: corruption
+// toggled on, one corrupted byte per response, a slower link, jitter drawn
+// per request turn, and a depot taken down.
+func TestConditionsApplyPerExchange(t *testing.T) {
+	clk := vclock.NewVirtual(t0)
+	m := NewModel(clk, 11)
+	m.SetLink("A", "B", Link{RTT: 10 * time.Millisecond, Mbps: 10})
+	d := simDepot(t, m, clk, "B", DepotState{})
+	client := ibp.NewClient(ibp.WithDialer(m.DialerFrom("A")), ibp.WithClock(clk))
+	set, err := client.Allocate(d.Addr(), 1<<20, time.Hour, ibp.Hard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0x3c}, 64<<10)
+	if _, err := client.Store(set.Write, payload); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := m.DialerFrom("A").Dial("tcp", d.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := wire.NewConn(raw)
+	defer conn.Close()
+	load := func() ([]byte, time.Duration, error) {
+		start := clk.Now()
+		if err := conn.WriteLine(ibp.OpLoad, set.Read.Token(), "0", wire.Itoa(int64(len(payload)))); err != nil {
+			return nil, 0, err
+		}
+		if _, err := conn.ReadStatus(); err != nil {
+			return nil, 0, err
+		}
+		got, err := conn.ReadBlob(int64(len(payload)))
+		return got, clk.Since(start), err
+	}
+	flipped := func(got []byte) int {
+		n := 0
+		for i := range got {
+			if got[i] != payload[i] {
+				n++
+			}
+		}
+		return n
+	}
+
+	got, base, err := load()
+	if err != nil || flipped(got) != 0 {
+		t.Fatalf("first exchange: err %v, %d corrupted bytes", err, flipped(got))
+	}
+
+	m.SetDepotCorruption(d.Addr(), true)
+	for i := 0; i < 2; i++ {
+		got, _, err := load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := flipped(got); n != 1 {
+			t.Fatalf("corrupted exchange %d: %d bytes flipped, want exactly 1 per response", i, n)
+		}
+	}
+	m.SetDepotCorruption(d.Addr(), false)
+
+	m.SetLink("A", "B", Link{RTT: 10 * time.Millisecond, Mbps: 1})
+	if _, slow, err := load(); err != nil || slow < 5*base {
+		t.Fatalf("after slowing the link 10x: err %v, exchange took %v against %v before", err, slow, base)
+	}
+
+	m.SetLink("A", "B", Link{RTT: 10 * time.Millisecond, Mbps: 10, JitterFrac: 0.3})
+	first, again := time.Duration(0), false
+	for i := 0; i < 5; i++ {
+		_, took, err := load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = took
+		} else if took != first {
+			again = true
+		}
+	}
+	if !again {
+		t.Fatalf("jittered exchanges on one connection all took %v", first)
+	}
+
+	m.AddDepot(d.Addr(), DepotState{Site: "B", Avail: Windows{Down: []Window{{clk.Now(), clk.Now().Add(time.Hour)}}}})
+	if _, _, err := load(); err == nil {
+		t.Fatal("exchange with a depot taken down after the dial succeeded")
 	}
 }

@@ -10,18 +10,22 @@ import (
 // shapedConn wraps a real loopback connection and charges simulated WAN
 // time for everything that crosses it. It implements netx.VirtualDeadliner
 // so client operation timeouts are enforced in simulated time.
+//
+// A connection may carry many request/response turns (pooled clients reuse
+// it), so the depot and link conditions are looked up in the model at every
+// charge: an outage, link change or corruption toggle scripted after the
+// dial reaches the live connection at its next exchange.
 type shapedConn struct {
 	net.Conn
 	model   *Model
-	link    Link
-	depot   DepotState
-	jitter  float64
+	addr    string
 	srcSite string
 
 	mu        sync.Mutex
 	vdeadline time.Time
-	lastWrite bool // last shaped op was a write (next read pays an RTT)
-	corrupted bool // one byte already flipped on this conn
+	jitter    float64 // bandwidth factor, drawn per request turn
+	lastWrite bool    // last shaped op was a write (next read pays an RTT)
+	corrupted bool    // one byte already flipped in the current response
 }
 
 // SetVirtualDeadline implements netx.VirtualDeadliner.
@@ -32,37 +36,34 @@ func (c *shapedConn) SetVirtualDeadline(t time.Time) error {
 	return nil
 }
 
-// effectiveMbps applies per-connection jitter to the link bandwidth.
-func (c *shapedConn) effectiveMbps() float64 {
-	mbps := c.link.Mbps * c.jitter
+// charge advances simulated time for n transferred bytes (plus an optional
+// RTT) under the model's current conditions, and enforces outages and the
+// virtual deadline.
+func (c *shapedConn) charge(n int, rtt bool) error {
+	st, link, _ := c.model.conditions(c.srcSite, c.addr)
+	c.mu.Lock()
+	deadline, jitter := c.vdeadline, c.jitter
+	c.mu.Unlock()
+	mbps := link.Mbps * jitter
 	if mbps <= 0 {
 		mbps = 0.1
 	}
-	return mbps
-}
-
-// charge advances simulated time for n transferred bytes (plus an optional
-// RTT) and enforces outages and the virtual deadline.
-func (c *shapedConn) charge(n int, rtt bool) error {
-	d := time.Duration(float64(n*8) / (c.effectiveMbps() * 1e6) * float64(time.Second))
+	d := time.Duration(float64(n*8) / (mbps * 1e6) * float64(time.Second))
 	if rtt {
-		d += c.link.RTT
+		d += link.RTT
 	}
 	c.model.advanceClock(d)
 	now := c.model.clock.Now()
 
-	c.mu.Lock()
-	deadline := c.vdeadline
-	c.mu.Unlock()
 	if !deadline.IsZero() && now.After(deadline) {
 		return os.ErrDeadlineExceeded
 	}
 	// Mid-transfer failure: the depot or link went down while the bytes
 	// were in flight.
-	if !c.depot.avail().UpAt(now) {
+	if !st.avail().UpAt(now) {
 		return &net.OpError{Op: "read", Err: timeoutError{"depot failed mid-transfer"}}
 	}
-	if !c.link.avail().UpAt(now) {
+	if !link.avail().UpAt(now) {
 		return &net.OpError{Op: "read", Err: timeoutError{"link failed mid-transfer"}}
 	}
 	return nil
@@ -84,13 +85,15 @@ func (c *shapedConn) Read(p []byte) (int, error) {
 	}
 	n, err := c.Conn.Read(p)
 	if n > 0 {
+		st, _, _ := c.model.conditions(c.srcSite, c.addr)
 		c.mu.Lock()
 		turn := c.lastWrite
 		c.lastWrite = false
 		// Corrupt only bulk chunks (≥256 bytes): protocol status lines are
 		// short, so the flip deterministically lands in payload bytes —
 		// modelling silent storage corruption rather than a framing error.
-		needCorrupt := c.depot.CorruptReads && !c.corrupted && n >= 256
+		// One byte per response: the next request rearms the flag.
+		needCorrupt := st.CorruptReads && !c.corrupted && n >= 256
 		if needCorrupt {
 			c.corrupted = true
 		}
@@ -118,6 +121,13 @@ func (c *shapedConn) Write(p []byte) (int, error) {
 		n, err := c.Conn.Write(chunk)
 		if n > 0 {
 			c.mu.Lock()
+			if !c.lastWrite {
+				// A new request turn: fresh jitter, and its response may
+				// be corrupted again.
+				_, link, _ := c.model.conditions(c.srcSite, c.addr)
+				c.jitter = c.model.drawJitter(link)
+				c.corrupted = false
+			}
 			c.lastWrite = true
 			c.mu.Unlock()
 			total += n

@@ -269,8 +269,8 @@ func TestCorruptReads(t *testing.T) {
 	if _, err := client.Store(set.Write, payload); err != nil {
 		t.Fatal(err)
 	}
-	// Turn on corruption only for the download; each operation dials a
-	// fresh connection, which picks up the new depot state.
+	// Turn on corruption only for the download; the next exchange picks up
+	// the new depot state, on a fresh connection or a reused one.
 	m.SetDepotCorruption(d.Addr(), true)
 	got, err := client.Load(set.Read, 0, int64(len(payload)))
 	if err == nil && bytes.Equal(got, payload) {

@@ -19,8 +19,8 @@ type Link struct {
 	RTT time.Duration
 	// Mbps is the nominal bandwidth in megabits per second.
 	Mbps float64
-	// JitterFrac randomizes per-connection effective bandwidth by
-	// ±JitterFrac (e.g. 0.3 → uniform in [0.7x, 1.3x]).
+	// JitterFrac randomizes the effective bandwidth of each request turn
+	// by ±JitterFrac (e.g. 0.3 → uniform in [0.7x, 1.3x]).
 	JitterFrac float64
 	// Avail is the link's outage process (nil = always up).
 	Avail Availability
@@ -39,8 +39,9 @@ type DepotState struct {
 	Site string
 	// Avail is the depot process's outage schedule (nil = always up).
 	Avail Availability
-	// CorruptReads, when true, flips one byte in every payload read from
-	// this depot — the fault the end-to-end checksums exist to catch.
+	// CorruptReads, when true, flips one byte in every response payload
+	// read from this depot — the fault the end-to-end checksums exist to
+	// catch.
 	CorruptReads bool
 }
 
@@ -199,21 +200,32 @@ func (m *Model) advanceClock(d time.Duration) {
 	m.clock.Sleep(d)
 }
 
-func (m *Model) dial(srcSite, network, addr string, timeout time.Duration) (net.Conn, error) {
+// conditions resolves the depot state and the link a client at srcSite
+// sees towards the depot at addr right now; known is false for addresses
+// never registered with AddDepot (they get the default link).
+func (m *Model) conditions(srcSite, addr string) (st DepotState, link Link, known bool) {
 	m.mu.Lock()
-	st, known := m.depots[addr]
-	var link Link
-	if known {
-		link = m.linkFor(srcSite, st.Site)
-	} else {
-		link = m.defaultLink
+	defer m.mu.Unlock()
+	st, known = m.depots[addr]
+	if !known {
+		return st, m.defaultLink, false
 	}
-	jitter := 1.0
-	if link.JitterFrac > 0 {
-		jitter = 1 - link.JitterFrac + 2*link.JitterFrac*m.rng.Float64()
-	}
-	m.mu.Unlock()
+	return st, m.linkFor(srcSite, st.Site), true
+}
 
+// drawJitter draws a bandwidth factor uniform in [1-JitterFrac,
+// 1+JitterFrac] from the model's seeded source.
+func (m *Model) drawJitter(l Link) float64 {
+	if l.JitterFrac <= 0 {
+		return 1
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return 1 - l.JitterFrac + 2*l.JitterFrac*m.rng.Float64()
+}
+
+func (m *Model) dial(srcSite, network, addr string, timeout time.Duration) (net.Conn, error) {
+	st, link, known := m.conditions(srcSite, addr)
 	now := m.clock.Now()
 	if !known {
 		return nil, &net.OpError{Op: "dial", Net: network, Err: fmt.Errorf("faultnet: unknown depot %s", addr)}
@@ -237,10 +249,9 @@ func (m *Model) dial(srcSite, network, addr string, timeout time.Duration) (net.
 	return &shapedConn{
 		Conn:    raw,
 		model:   m,
-		link:    link,
-		depot:   st,
-		jitter:  jitter,
+		addr:    addr,
 		srcSite: srcSite,
+		jitter:  1,
 	}, nil
 }
 

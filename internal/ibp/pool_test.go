@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/wire"
 )
 
@@ -129,5 +130,45 @@ func TestClientCloseWithoutPoolIsNoop(t *testing.T) {
 	c := NewClient()
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStaleRetryReportsDialError pins the error a pooled client reports
+// when a depot dies while one of its connections sits in the pool: the
+// reused connection is stale, the fresh redial is refused, and the
+// operation must fail as Refused, exactly as it would on a first dial.
+// Reporting the stale connection's EOF instead makes the health
+// scoreboard count a crashed depot as a flaky network.
+func TestStaleRetryReportsDialError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	crashed := make(chan struct{})
+	go func() {
+		defer close(crashed)
+		raw, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		conn := wire.NewConn(raw)
+		if _, err := conn.ReadLine(); err == nil {
+			conn.WriteLine("OK", "100", "0", "3600", "0")
+		}
+		// The depot crashes: its listener and every connection go away.
+		ln.Close()
+		raw.Close()
+	}()
+
+	c := NewClient(WithPooling(2))
+	defer c.Close()
+	if _, err := c.Status(addr); err != nil {
+		t.Fatal(err)
+	}
+	<-crashed
+	_, err = c.Status(addr)
+	if got := health.Classify(err); got != health.Refused {
+		t.Fatalf("status after the depot crashed: %v classified %v, want %v", err, got, health.Refused)
 	}
 }

@@ -312,7 +312,9 @@ func (c *Client) exchange(addr string, retryable bool, op func(conn *wire.Conn) 
 		conn.Close()
 		fresh, derr := c.dialFresh(addr)
 		if derr != nil {
-			return reused, false, err
+			// The redial is what tells the depot's state: a refusal here
+			// means the depot is gone, not that the network is flaky.
+			return reused, true, derr
 		}
 		err = op(fresh)
 		c.release(addr, fresh, err)

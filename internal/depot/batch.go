@@ -33,10 +33,10 @@ func (d *Depot) handleBatch(conn *connCtx, args []string) error {
 		conn.WriteErr(wire.CodeBadRequest, "bad batch count %q", args[0])
 		return fmt.Errorf("bad batch count %q", args[0])
 	}
+	d.metrics.Batches.Add(1)
 	if err := conn.WriteOK(wire.Itoa(n)); err != nil {
 		return err
 	}
-	d.metrics.Batches.Add(1)
 	caps := make([]*ibp.CapSet, n)
 	for i := 0; i < int(n); {
 		toks, err := conn.ReadLine()

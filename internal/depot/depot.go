@@ -676,6 +676,11 @@ func (d *Depot) handleLoad(conn *connCtx, args []string) error {
 		if off+n > have {
 			return conn.WriteErr(wire.CodeOutOfRange, "read [%d,%d) beyond written length %d", off, off+n, have)
 		}
+		// Count the load before any reply byte goes out, as the buffered
+		// path does: a client that has its payload may scrape next, and
+		// must see the load it was served.
+		d.metrics.Loads.Add(1)
+		d.metrics.BytesOut.Add(n)
 		if err := conn.WriteOK(wire.Itoa(n)); err != nil {
 			return err
 		}
@@ -685,12 +690,7 @@ func (d *Depot) handleLoad(conn *connCtx, args []string) error {
 		if _, err := sw.WriteSegment(conn.PayloadWriter(), off, n); err != nil {
 			return fmt.Errorf("streaming load payload: %w", err)
 		}
-		if err := conn.Flush(); err != nil {
-			return err
-		}
-		d.metrics.Loads.Add(1)
-		d.metrics.BytesOut.Add(n)
-		return nil
+		return conn.Flush()
 	}
 	bt := d.clock.Now()
 	a.mu.Lock()

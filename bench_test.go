@@ -163,7 +163,8 @@ func BenchmarkForecastBattery(b *testing.B) {
 }
 
 func BenchmarkIBPRoundTrip(b *testing.B) {
-	// Raw protocol performance on loopback: allocate + store + load 64 KiB.
+	// Raw protocol performance on loopback: allocate + store + load 64 KiB
+	// over the client's reused connection.
 	d, err := depot.Serve("127.0.0.1:0", depot.Config{
 		Secret: []byte("bench"), Capacity: 1 << 30,
 	})
@@ -172,37 +173,6 @@ func BenchmarkIBPRoundTrip(b *testing.B) {
 	}
 	defer d.Close()
 	c := ibp.NewClient()
-	payload := bytes.Repeat([]byte{1}, 64<<10)
-	b.SetBytes(64 << 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		set, err := c.Allocate(d.Addr(), 64<<10, time.Hour, ibp.Hard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Store(set.Write, payload); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Load(set.Read, 0, 64<<10); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Delete(set.Manage); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkIBPRoundTripPooled(b *testing.B) {
-	// Same exchange as BenchmarkIBPRoundTrip but with connection reuse:
-	// the gap between the two is the per-operation dial cost.
-	d, err := depot.Serve("127.0.0.1:0", depot.Config{
-		Secret: []byte("bench"), Capacity: 1 << 30,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Close()
-	c := ibp.NewClient(ibp.WithPooling(4))
 	defer c.Close()
 	payload := bytes.Repeat([]byte{1}, 64<<10)
 	b.SetBytes(64 << 10)
@@ -224,9 +194,6 @@ func BenchmarkIBPRoundTripPooled(b *testing.B) {
 	}
 }
 
-// ---- paper artifact benches (experiment index E*) ----
-
-// E1: Test 1 availability monitoring (Figures 5-7).
 func BenchmarkTest1Availability(b *testing.B) {
 	tb := benchTestbed(b, experiments.TestbedConfig{Seed: 42})
 	defer tb.Close()
@@ -822,7 +789,7 @@ func BenchmarkUploadDownload(b *testing.B) {
 		reg.Register(info)
 		infos = append(infos, info)
 	}
-	c := ibp.NewClient(ibp.WithPooling(8))
+	c := ibp.NewClient()
 	defer c.Close()
 	tools := &core.Tools{
 		IBP:   c,

@@ -69,6 +69,7 @@ type Depot struct {
 	shutdown chan struct{}
 	conns    map[net.Conn]struct{}
 	metrics  Metrics
+	outbound *ibp.Client // third-party transfers (COPY, MCOPY)
 }
 
 type allocation struct {
@@ -129,6 +130,11 @@ func Serve(addr string, cfg Config) (*Depot, error) {
 		shutdown: make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
 	}
+	outOpts := []ibp.Option{ibp.WithClock(cfg.Clock)}
+	if cfg.Dialer != nil {
+		outOpts = append(outOpts, ibp.WithDialer(cfg.Dialer))
+	}
+	d.outbound = ibp.NewClient(outOpts...)
 	if pb, ok := cfg.Backend.(PersistentBackend); ok {
 		if err := d.restore(pb); err != nil {
 			ln.Close()
@@ -218,6 +224,7 @@ func (d *Depot) Close() error {
 	d.mu.Unlock()
 	err := d.ln.Close()
 	d.wg.Wait()
+	d.outbound.Close()
 	return err
 }
 
@@ -307,10 +314,8 @@ func (d *Depot) serveConn(raw net.Conn, queueWait time.Duration) {
 	}
 	d.metrics.Connects.Add(1)
 	defer d.untrack(raw)
-	// Default (small) wire buffers: dial-per-op clients create a fresh
-	// server conn per exchange, and large payloads bypass the buffer in
-	// both directions anyway, so big per-conn buffers here only add
-	// alloc+zero cost without moving throughput.
+	// A client parks its connection between operations, so one server
+	// conn serves a sequence of that client's exchanges.
 	conn := &connCtx{Conn: wire.NewConn(raw), queueWait: queueWait}
 	defer conn.Close()
 	for {
@@ -829,7 +834,7 @@ func (d *Depot) handleCopy(conn *connCtx, args []string) error {
 	if err != nil {
 		return conn.WriteErr(wire.CodeInternal, "read failed")
 	}
-	newLen, err := d.outbound().Store(dst, buf)
+	newLen, err := d.outbound.Store(dst, buf)
 	if err != nil {
 		return conn.WriteErr(wire.CodeUnavailable, "store to %s failed: %v", dst.Addr, err)
 	}
@@ -885,10 +890,9 @@ func (d *Depot) handleMCopy(conn *connCtx, args []string) error {
 	if err != nil {
 		return conn.WriteErr(wire.CodeInternal, "read failed")
 	}
-	client := d.outbound()
 	results := make([]string, len(dsts))
 	for i, dst := range dsts {
-		newLen, err := client.Store(dst, buf)
+		newLen, err := d.outbound.Store(dst, buf)
 		if err != nil {
 			d.cfg.Logger.Warn("mcopy destination failed", obs.KeyVerb, ibp.OpMCopy, "dst", dst.Addr, "err", err)
 			results[i] = "-1"
@@ -899,15 +903,6 @@ func (d *Depot) handleMCopy(conn *connCtx, args []string) error {
 	d.metrics.Loads.Add(1)
 	d.metrics.BytesOut.Add(n * int64(len(dsts)))
 	return conn.WriteOK(results...)
-}
-
-// outbound returns the client this depot uses for third-party transfers.
-func (d *Depot) outbound() *ibp.Client {
-	opts := []ibp.Option{ibp.WithClock(d.clock)}
-	if d.cfg.Dialer != nil {
-		opts = append(opts, ibp.WithDialer(d.cfg.Dialer))
-	}
-	return ibp.NewClient(opts...)
 }
 
 func (d *Depot) handleStatus(conn *connCtx) error {

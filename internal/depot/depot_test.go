@@ -490,7 +490,7 @@ func TestCloseIsIdempotent(t *testing.T) {
 
 func TestPooledClientReuseAndStaleRetry(t *testing.T) {
 	d, _ := newDepot(t, Config{})
-	c := ibp.NewClient(ibp.WithPooling(4))
+	c := ibp.NewClient()
 	defer c.Close()
 	set, err := c.Allocate(d.Addr(), 1<<16, time.Hour, ibp.Hard)
 	if err != nil {

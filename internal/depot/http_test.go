@@ -176,7 +176,7 @@ func readAll(t *testing.T, r interface{ Read([]byte) (int, error) }) string {
 // depot's own recorder holds, /metrics reports the overwrites.
 func TestTraceSpansCountRingOverflow(t *testing.T) {
 	d, _ := newDepot(t, Config{})
-	c := ibp.NewClient(ibp.WithPooling(2)).WithSpan(obs.NewRootSpan())
+	c := ibp.NewClient().WithSpan(obs.NewRootSpan())
 	defer c.Close()
 	for i := 0; i < obs.DefaultRecorderSize+8; i++ {
 		if _, err := c.Status(d.Addr()); err != nil {

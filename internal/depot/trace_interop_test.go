@@ -69,7 +69,7 @@ func TestTraceOldDepotInterop(t *testing.T) {
 	)
 	root := obs.NewRootSpan()
 	col := obs.NewCollector(16)
-	c := ibp.NewClient(ibp.WithObserver(col), ibp.WithPooling(2)).WithSpan(root)
+	c := ibp.NewClient(ibp.WithObserver(col)).WithSpan(root)
 	defer c.Close()
 
 	if _, err := c.Status(addr); err != nil {

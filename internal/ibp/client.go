@@ -15,8 +15,9 @@ import (
 )
 
 // Client is the IBP client library. The zero value is not usable; call
-// NewClient. A Client is safe for concurrent use: each operation opens its
-// own connection, matching the original IBP library's per-call model.
+// NewClient. A Client is safe for concurrent use. Operations run on
+// connections the client keeps open per depot and reuses (see pool.go);
+// Close releases them.
 type Client struct {
 	dialer      netx.Dialer
 	clock       vclock.Clock
@@ -105,13 +106,15 @@ func (c *Client) WithSpan(sc obs.SpanContext) *Client {
 // Span returns the client's current span context (zero when untraced).
 func (c *Client) Span() obs.SpanContext { return c.span }
 
-// NewClient builds a client with the given options.
+// NewClient builds a client with the given options. Its connections are
+// parked for reuse after each operation; call Close to release them.
 func NewClient(opts ...Option) *Client {
 	c := &Client{
 		dialer:      netx.System(),
 		clock:       vclock.Real(),
 		dialTimeout: 5 * time.Second,
 		opTimeout:   30 * time.Second,
+		pool:        newConnPool(),
 		traces:      &traceSupport{unsupported: make(map[string]bool)},
 		batches:     &traceSupport{unsupported: make(map[string]bool)},
 	}
@@ -132,11 +135,6 @@ func (c *Client) dialFresh(addr string) (*wire.Conn, error) {
 		raw.Close()
 		return nil, fmt.Errorf("ibp: set deadline: %w", err)
 	}
-	if c.pool != nil {
-		// The connection will be parked for reuse: pay for the large
-		// transfer buffers once and amortize them over many operations.
-		return wire.NewLongConn(raw), nil
-	}
 	return wire.NewConn(raw), nil
 }
 
@@ -155,7 +153,7 @@ func (c *Client) applyDeadline(conn *wire.Conn) error {
 // because a faster replica existed) and are never retried on a fresh dial.
 var ErrCancelled = errors.New("ibp: operation cancelled")
 
-// withConn runs one protocol exchange on a pooled or fresh connection,
+// withConn runs one protocol exchange on a parked or fresh connection,
 // retrying once on a fresh dial when a reused connection turns out stale.
 // op must be safe to re-run from scratch (all client exchanges are: they
 // buffer their own output). With a scoreboard attached, the depot's

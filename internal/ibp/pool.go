@@ -11,16 +11,21 @@ import (
 )
 
 // The IBP wire protocol is request/response over a persistent connection,
-// so a client may reuse connections across operations instead of dialing
-// per call (the original library's model, and this client's default).
-// Pooling is opt-in via WithPooling: benchmarks show when the dial round
-// trip matters.
+// so every client reuses connections across operations instead of dialing
+// per call: each depot keeps up to maxIdlePerDepot parked connections, and
+// an operation that finds its parked connection stale retries once on a
+// fresh dial (see Client.exchange).
 
-// defaultMaxIdleAge is how long a parked connection stays reusable. A
-// depot restart leaves every pooled conn to it stale; without an age
-// limit each subsequent operation would burn a round trip discovering
-// that via the retry-on-reuse path.
-const defaultMaxIdleAge = 90 * time.Second
+// maxIdlePerDepot caps the parked connections per depot address. It
+// matches xnd's default per-depot concurrency (-max-per-depot), so a
+// download's parallel loads to one depot all find a warm connection.
+const maxIdlePerDepot = 4
+
+// maxIdleAge is how long a parked connection stays reusable. A depot
+// restart leaves every pooled conn to it stale; without an age limit each
+// subsequent operation would burn a round trip discovering that via the
+// retry-on-reuse path.
+const maxIdleAge = 90 * time.Second
 
 // idleConn is a parked connection stamped with its park time.
 type idleConn struct {
@@ -30,21 +35,14 @@ type idleConn struct {
 
 // connPool keeps idle framed connections per depot address.
 type connPool struct {
-	mu         sync.Mutex
-	idle       map[string][]idleConn
-	maxIdle    int
-	maxIdleAge time.Duration
-	now        func() time.Time // wall clock; swappable in tests
-	closed     bool
+	mu     sync.Mutex
+	idle   map[string][]idleConn
+	now    func() time.Time // wall clock; swappable in tests
+	closed bool
 }
 
-func newConnPool(maxIdle int) *connPool {
-	return &connPool{
-		idle:       make(map[string][]idleConn),
-		maxIdle:    maxIdle,
-		maxIdleAge: defaultMaxIdleAge,
-		now:        time.Now,
-	}
+func newConnPool() *connPool {
+	return &connPool{idle: make(map[string][]idleConn), now: time.Now}
 }
 
 // get returns an idle connection to addr, or nil. Connections parked
@@ -55,12 +53,12 @@ func (p *connPool) get(addr string) *wire.Conn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	conns := p.idle[addr]
-	cutoff := p.now().Add(-p.maxIdleAge)
+	cutoff := p.now().Add(-maxIdleAge)
 	for len(conns) > 0 {
 		ic := conns[len(conns)-1]
 		conns = conns[:len(conns)-1]
 		p.idle[addr] = conns
-		if p.maxIdleAge > 0 && ic.parked.Before(cutoff) {
+		if ic.parked.Before(cutoff) {
 			ic.conn.Close()
 			continue
 		}
@@ -72,7 +70,7 @@ func (p *connPool) get(addr string) *wire.Conn {
 // put parks a healthy connection for reuse; overflow closes it.
 func (p *connPool) put(addr string, conn *wire.Conn) {
 	p.mu.Lock()
-	if p.closed || len(p.idle[addr]) >= p.maxIdle {
+	if p.closed || len(p.idle[addr]) >= maxIdlePerDepot {
 		p.mu.Unlock()
 		conn.Close()
 		return
@@ -94,46 +92,21 @@ func (p *connPool) closeAll() {
 	}
 }
 
-// WithPooling enables connection reuse with up to maxIdle parked
-// connections per depot. Close the client when done to release them.
-func WithPooling(maxIdle int) Option {
-	return func(c *Client) {
-		if maxIdle > 0 {
-			c.pool = newConnPool(maxIdle)
-		}
-	}
-}
-
-// WithPoolIdleAge bounds how long a pooled connection may sit idle before
-// get drops it (default 90s; <=0 disables the age check). Apply after
-// WithPooling.
-func WithPoolIdleAge(d time.Duration) Option {
-	return func(c *Client) {
-		if c.pool != nil {
-			c.pool.maxIdleAge = d
-		}
-	}
-}
-
-// Close releases pooled connections. A client without pooling needs no
-// Close.
+// Close releases the client's parked connections. Operations still work
+// afterwards, but their connections are closed instead of parked.
 func (c *Client) Close() error {
-	if c.pool != nil {
-		c.pool.closeAll()
-	}
+	c.pool.closeAll()
 	return nil
 }
 
-// acquire returns a connection to addr — pooled if available, freshly
-// dialed otherwise — with the operation deadline applied.
+// acquire returns a connection to addr — parked if one is available,
+// freshly dialed otherwise — with the operation deadline applied.
 func (c *Client) acquire(addr string) (*wire.Conn, bool, error) {
-	if c.pool != nil {
-		if conn := c.pool.get(addr); conn != nil {
-			if err := c.applyDeadline(conn); err == nil {
-				return conn, true, nil
-			}
-			conn.Close()
+	if conn := c.pool.get(addr); conn != nil {
+		if err := c.applyDeadline(conn); err == nil {
+			return conn, true, nil
 		}
+		conn.Close()
 	}
 	conn, err := c.dialFresh(addr)
 	return conn, false, err
@@ -142,7 +115,7 @@ func (c *Client) acquire(addr string) (*wire.Conn, bool, error) {
 // release parks conn for reuse after a clean exchange, or closes it after
 // any error (the protocol state is then unknown).
 func (c *Client) release(addr string, conn *wire.Conn, err error) {
-	if err != nil || c.pool == nil {
+	if err != nil {
 		conn.Close()
 		return
 	}

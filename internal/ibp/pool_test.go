@@ -14,19 +14,25 @@ import (
 )
 
 func TestConnPoolGetPut(t *testing.T) {
-	p := newConnPool(2)
+	p := newConnPool()
 	if p.get("a:1") != nil {
 		t.Fatal("empty pool should return nil")
 	}
-	c1, c2, c3 := fakeConn(t), fakeConn(t), fakeConn(t)
-	p.put("a:1", c1)
-	p.put("a:1", c2)
-	p.put("a:1", c3) // overflow: closed, not parked
-	if got := p.get("a:1"); got != c2 {
-		t.Fatal("pool should be LIFO")
+	var parked []*wire.Conn
+	for i := 0; i < maxIdlePerDepot; i++ {
+		c := fakeConn(t)
+		parked = append(parked, c)
+		p.put("a:1", c)
 	}
-	if got := p.get("a:1"); got != c1 {
-		t.Fatal("second get should return first conn")
+	overflow := fakeConn(t)
+	p.put("a:1", overflow) // over the cap: closed, not parked
+	if err := overflow.WriteLine("PING"); err == nil {
+		t.Fatal("overflow conn was not closed")
+	}
+	for i := len(parked) - 1; i >= 0; i-- {
+		if got := p.get("a:1"); got != parked[i] {
+			t.Fatalf("get %d: pool should be LIFO", len(parked)-1-i)
+		}
 	}
 	if p.get("a:1") != nil {
 		t.Fatal("pool should be drained")
@@ -39,7 +45,7 @@ func TestConnPoolGetPut(t *testing.T) {
 }
 
 func TestConnPoolCloseAll(t *testing.T) {
-	p := newConnPool(4)
+	p := newConnPool()
 	p.put("a:1", fakeConn(t))
 	p.closeAll()
 	if p.get("a:1") != nil {
@@ -53,21 +59,20 @@ func TestConnPoolCloseAll(t *testing.T) {
 }
 
 func TestConnPoolDropsOverAgedConns(t *testing.T) {
-	p := newConnPool(4)
+	p := newConnPool()
 	now := time.Unix(1_000_000, 0)
 	p.now = func() time.Time { return now }
-	p.maxIdleAge = time.Minute
 
 	stale := fakeConn(t)
 	p.put("a:1", stale)
-	now = now.Add(30 * time.Second)
+	now = now.Add(maxIdleAge / 2)
 	fresh := fakeConn(t)
 	p.put("a:1", fresh)
 
-	// 45s later the first conn is 75s old (over the limit) and the second
-	// 45s old (under). LIFO pops fresh first; the stale one must be
+	// Another 3/4 of the limit later the first conn is over the limit and
+	// the second under it. LIFO pops fresh first; the stale one must be
 	// dropped, not handed out.
-	now = now.Add(45 * time.Second)
+	now = now.Add(maxIdleAge * 3 / 4)
 	if got := p.get("a:1"); got != fresh {
 		t.Fatal("fresh conn should be returned")
 	}
@@ -77,15 +82,6 @@ func TestConnPoolDropsOverAgedConns(t *testing.T) {
 	// Dropped means closed: a write on the wrapped pipe now fails.
 	if err := stale.WriteLine("PING"); err == nil {
 		t.Fatal("dropped conn was not closed")
-	}
-
-	// Age check disabled: arbitrarily old conns are still handed out.
-	p.maxIdleAge = 0
-	old := fakeConn(t)
-	p.put("b:1", old)
-	now = now.Add(24 * time.Hour)
-	if got := p.get("b:1"); got != old {
-		t.Fatal("age check disabled should return the conn")
 	}
 }
 
@@ -126,6 +122,8 @@ func TestIsConnReuseError(t *testing.T) {
 	}
 }
 
+// TestClientCloseWithoutPoolIsNoop closes a client that has parked
+// nothing: there is nothing to release and nothing to fail.
 func TestClientCloseWithoutPoolIsNoop(t *testing.T) {
 	c := NewClient()
 	if err := c.Close(); err != nil {
@@ -161,7 +159,7 @@ func TestStaleRetryReportsDialError(t *testing.T) {
 		raw.Close()
 	}()
 
-	c := NewClient(WithPooling(2))
+	c := NewClient()
 	defer c.Close()
 	if _, err := c.Status(addr); err != nil {
 		t.Fatal(err)

@@ -87,7 +87,6 @@ func TestApplyDeadlineUsesClientClock(t *testing.T) {
 		WithDialer(dialer),
 		WithClock(ck),
 		WithOpTimeout(30*time.Second),
-		WithPooling(2),
 	)
 	defer c.Close()
 
@@ -124,7 +123,7 @@ func TestTraceEventsEmitted(t *testing.T) {
 		"OK 100 0 3600 0",
 	)
 	col := obs.NewCollector(16)
-	c := NewClient(WithObserver(col), WithPooling(2))
+	c := NewClient(WithObserver(col))
 	defer c.Close()
 
 	if _, err := c.Status(addr); err != nil {

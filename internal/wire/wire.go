@@ -58,37 +58,20 @@ type Conn struct {
 	captured      string
 }
 
-// Buffer sizes for the two connection lifetimes. Lines flush eagerly, so
-// a payload write that meets or exceeds the bufio size bypasses the
-// buffer entirely and goes source → kernel in one write; 256 KiB hits
-// that bypass for the common large-extent sizes while staying
-// cache-friendly (1 MiB measured slower). But half a megabyte of bufio
-// per connection is only worth paying when the connection is reused —
-// a one-shot dial-per-op exchange would spend more time allocating and
-// zeroing buffers than filling them, so it gets a small pair.
-const (
-	pooledBufSize  = 256 * 1024
-	oneShotBufSize = 64 * 1024
-)
+// connBufSize is the read and write buffer size of every connection.
+// Lines flush eagerly, and a payload write at least this large bypasses
+// the buffer and goes source → kernel in one write, so larger buffers buy
+// little throughput. They do cost memory per connection: a client that
+// runs a handful of operations would pay more to allocate and zero them
+// than they save (2×256 KiB measured slower for short-lived clients).
+const connBufSize = 64 * 1024
 
-// NewConn wraps a network connection with protocol framing, sized for a
-// short-lived connection. Use NewLongConn for connections that will carry
-// many operations (pooled client conns, server accept loops).
+// NewConn wraps a network connection with protocol framing.
 func NewConn(c net.Conn) *Conn {
-	return newConnSize(c, oneShotBufSize)
-}
-
-// NewLongConn wraps a long-lived network connection with protocol
-// framing and large transfer buffers.
-func NewLongConn(c net.Conn) *Conn {
-	return newConnSize(c, pooledBufSize)
-}
-
-func newConnSize(c net.Conn, size int) *Conn {
 	return &Conn{
 		raw: c,
-		br:  bufio.NewReaderSize(c, size),
-		bw:  bufio.NewWriterSize(c, size),
+		br:  bufio.NewReaderSize(c, connBufSize),
+		bw:  bufio.NewWriterSize(c, connBufSize),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/bufpool"
@@ -148,7 +149,7 @@ func (t *Tools) DownloadRange(x *exnode.ExNode, offset, length int64, opts Downl
 	buf := bufpool.Get(int(length))
 	report := &Report{Extents: make([]ExtentReport, len(exts))}
 
-	dir := t.staticDirectoryIfNeeded(x, opts)
+	dir := &depotLocations{t: t}
 	overBudget := func() bool {
 		return opts.Budget > 0 && t.clock().Since(start) > opts.Budget
 	}
@@ -256,18 +257,25 @@ func (t *Tools) unsealRange(x *exnode.ExNode, buf []byte, offset int64, opts Dow
 	return plain, nil
 }
 
-// staticDirectoryIfNeeded resolves the L-Bone directory only when static
-// ranking can be consulted.
-func (t *Tools) staticDirectoryIfNeeded(x *exnode.ExNode, opts DownloadOptions) map[string]geo.Point {
-	strat := t.effectiveStrategy(opts.Strategy)
-	if strat == StrategyRandom {
-		return nil
-	}
-	out := map[string]geo.Point{}
-	for addr, info := range t.depotDirectory() {
-		out[addr] = info.Loc
-	}
-	return out
+// depotLocations is a download's view of where the L-Bone places each
+// depot, for static proximity ranking. It asks the L-Bone at most once per
+// download, and only when a ranking actually compares static distances:
+// a long-lived client whose candidates all carry NWS forecasts downloads
+// without an L-Bone round trip.
+type depotLocations struct {
+	t    *Tools
+	once sync.Once
+	locs map[string]geo.Point
+}
+
+func (d *depotLocations) get() map[string]geo.Point {
+	d.once.Do(func() {
+		d.locs = map[string]geo.Point{}
+		for addr, info := range d.t.depotDirectory() {
+			d.locs[addr] = info.Loc
+		}
+	})
+	return d.locs
 }
 
 func (t *Tools) effectiveStrategy(s Strategy) Strategy {
@@ -284,7 +292,7 @@ func (t *Tools) effectiveStrategy(s Strategy) Strategy {
 // transfer engine attached the candidates are raced through it (per-depot
 // concurrency slots, hedged backup attempts); without one the plain
 // sequential failover loop runs.
-func (t *Tools) fetchExtent(x *exnode.ExNode, ext exnode.Extent, dst []byte, opts DownloadOptions, dir map[string]geo.Point, seedMix int) ExtentReport {
+func (t *Tools) fetchExtent(x *exnode.ExNode, ext exnode.Extent, dst []byte, opts DownloadOptions, dir *depotLocations, seedMix int) ExtentReport {
 	cands := t.rankCandidates(x.Candidates(ext), opts, dir, seedMix)
 	er := ExtentReport{Start: ext.Start, End: ext.End}
 	// Under a sampled download span each extent gets its own child span:
@@ -504,7 +512,7 @@ func (t *Tools) attemptLoad(m *exnode.Mapping, ext exnode.Extent, dst []byte, op
 // the list as last-resort fallbacks (where the breaker fails them fast),
 // but no extent pays a dial timeout against a known-dead depot while a
 // healthy replica exists.
-func (t *Tools) rankCandidates(cands []*exnode.Mapping, opts DownloadOptions, dir map[string]geo.Point, seedMix int) []*exnode.Mapping {
+func (t *Tools) rankCandidates(cands []*exnode.Mapping, opts DownloadOptions, dir *depotLocations, seedMix int) []*exnode.Mapping {
 	out := t.rankByStrategy(cands, opts, dir, seedMix)
 	if t.Health == nil {
 		return out
@@ -522,7 +530,7 @@ func (t *Tools) rankCandidates(cands []*exnode.Mapping, opts DownloadOptions, di
 }
 
 // rankByStrategy orders mappings per the strategy alone.
-func (t *Tools) rankByStrategy(cands []*exnode.Mapping, opts DownloadOptions, dir map[string]geo.Point, seedMix int) []*exnode.Mapping {
+func (t *Tools) rankByStrategy(cands []*exnode.Mapping, opts DownloadOptions, dir *depotLocations, seedMix int) []*exnode.Mapping {
 	out := append([]*exnode.Mapping(nil), cands...)
 	switch t.effectiveStrategy(opts.Strategy) {
 	case StrategyRandom:
@@ -530,7 +538,9 @@ func (t *Tools) rankByStrategy(cands []*exnode.Mapping, opts DownloadOptions, di
 		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	case StrategyNWS:
 		// Forecast bandwidth per candidate; candidates without forecasts
-		// rank below all forecasted ones, ordered statically.
+		// rank below all forecasted ones, ordered statically. Distances
+		// are only compared, and so only looked up, between two or more
+		// unforecasted candidates.
 		type scored struct {
 			m  *exnode.Mapping
 			bw float64
@@ -538,12 +548,22 @@ func (t *Tools) rankByStrategy(cands []*exnode.Mapping, opts DownloadOptions, di
 			d  float64
 		}
 		ss := make([]scored, len(out))
+		unforecast := 0
 		for i, m := range out {
-			s := scored{m: m, d: t.staticDistance(m, dir)}
+			s := scored{m: m}
 			if t.NWS != nil {
 				s.bw, s.ok = t.NWS.Forecast(t.Site, m.Read.Addr, nws.Bandwidth)
 			}
+			if !s.ok {
+				unforecast++
+			}
 			ss[i] = s
+		}
+		if unforecast >= 2 {
+			locs := dir.get()
+			for i := range ss {
+				ss[i].d = t.staticDistance(ss[i].m, locs)
+			}
 		}
 		sort.SliceStable(ss, func(i, j int) bool {
 			if ss[i].ok != ss[j].ok {
@@ -558,18 +578,19 @@ func (t *Tools) rankByStrategy(cands []*exnode.Mapping, opts DownloadOptions, di
 			out[i] = s.m
 		}
 	default: // StrategyStatic
+		if len(out) < 2 {
+			break
+		}
+		locs := dir.get()
 		sort.SliceStable(out, func(i, j int) bool {
-			return t.staticDistance(out[i], dir) < t.staticDistance(out[j], dir)
+			return t.staticDistance(out[i], locs) < t.staticDistance(out[j], locs)
 		})
 	}
 	return out
 }
 
-func (t *Tools) staticDistance(m *exnode.Mapping, dir map[string]geo.Point) float64 {
-	if dir == nil {
-		return math.Inf(1)
-	}
-	p, ok := dir[m.Read.Addr]
+func (t *Tools) staticDistance(m *exnode.Mapping, locs map[string]geo.Point) float64 {
+	p, ok := locs[m.Read.Addr]
 	if !ok {
 		return math.Inf(1)
 	}

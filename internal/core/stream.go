@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/exnode"
-	"repro/internal/geo"
 )
 
 // streamReader implements the paper's streaming download mode ("the
@@ -26,7 +25,7 @@ type streamReader struct {
 	x        *exnode.ExNode
 	opts     DownloadOptions
 	exts     []exnode.Extent
-	dir      map[string]geo.Point
+	dir      *depotLocations
 	start    time.Time              // budget + duration accounting baseline
 	inflight map[int]chan extentRes // scheduled fetches by extent index
 	sched    int                    // next extent index to schedule
@@ -65,7 +64,7 @@ func (t *Tools) OpenRangeReader(x *exnode.ExNode, offset, length int64, opts Dow
 		x:        x,
 		opts:     opts,
 		exts:     exts,
-		dir:      t.staticDirectoryIfNeeded(x, opts),
+		dir:      &depotLocations{t: t},
 		start:    t.clock().Now(),
 		inflight: make(map[int]chan extentRes),
 		report:   &Report{},

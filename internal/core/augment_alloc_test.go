@@ -27,6 +27,15 @@ func TestAugmentReleasesDownloadBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte-level allocation accounting is skewed by race-detector instrumentation")
 	}
+	// bufpool keeps one sync.Pool per size class, and a sync.Pool's
+	// per-P private slot is invisible to Gets running on another P. With
+	// several Ps, a file-class buffer Put on one P is now and then missed
+	// by the next Get on another, which allocates a fresh one: about one
+	// extra file-sized buffer per measured window, depending on where the
+	// scheduler ran each goroutine. One P makes every returned buffer
+	// visible to the next Get, so the count measures only what the code
+	// keeps or drops.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	e := newEnv(t)
 	e.addDepot("A", geo.UTK, nil)
 	e.addDepot("B", geo.UCSD, nil)

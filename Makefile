@@ -42,13 +42,14 @@ race:
 #
 # The upload/download run is also gated against the committed baseline:
 # benchjson -check fails (and the mv is skipped, preserving the baseline)
-# if download allocs/op regressed more than 20%. New output lands in .tmp
+# if upload or download allocs/op regressed more than 20%. New output lands in .tmp
 # first — a shell '>' straight onto the baseline would truncate it before
 # benchjson gets to read it.
 bench:
 	go test -run '^$$' -bench 'BenchmarkUploadDownload|BenchmarkIBPRoundTrip' -benchmem . \
 		| go run ./cmd/benchjson \
-			-check BENCH_upload_download.json -name UploadDownload/download \
+			-check BENCH_upload_download.json \
+			-name UploadDownload/upload,UploadDownload/download \
 			-metric allocs_per_op -max-regress 0.20 \
 			> BENCH_upload_download.json.tmp \
 		&& mv BENCH_upload_download.json.tmp BENCH_upload_download.json
@@ -61,13 +62,14 @@ bench:
 	@echo "wrote BENCH_smallobject.json"
 
 # Allocation regression gate only, without rewriting any baseline: a short
-# download run compared against the committed BENCH_upload_download.json.
-# allocs/op is a deterministic count at steady state, so a small -benchtime
-# is enough; CI runs this on every push.
+# upload and download run compared against the committed
+# BENCH_upload_download.json. allocs/op is a deterministic count at steady
+# state, so a small -benchtime is enough; CI runs this on every push.
 bench-check:
-	go test -run '^$$' -bench 'BenchmarkUploadDownload/download' -benchmem -benchtime 20x . \
+	go test -run '^$$' -bench 'BenchmarkUploadDownload' -benchmem -benchtime 20x . \
 		| go run ./cmd/benchjson \
-			-check BENCH_upload_download.json -name UploadDownload/download \
+			-check BENCH_upload_download.json \
+			-name UploadDownload/upload,UploadDownload/download \
 			-metric allocs_per_op -max-regress 0.20 \
 			> /dev/null
 

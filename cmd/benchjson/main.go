@@ -9,15 +9,16 @@
 // metrics (vsec/dl, success%, ...) under "extra".
 //
 // With -check it doubles as a regression gate: after parsing it compares
-// one metric of one bench against a committed baseline file and exits 1
-// when the new value regresses by more than -max-regress (a fraction;
+// one metric of each named bench (-name takes a comma-separated list)
+// against a committed baseline file and exits 1 when a new value
+// regresses by more than -max-regress (a fraction;
 // 0.20 = 20%). Counting metrics like allocs/op barely jitter between
 // runs, so a gate on them catches a reintroduced per-op allocation
 // without the noise problems of gating on throughput:
 //
-//	go test -bench 'UploadDownload/download' -benchmem . \
+//	go test -bench 'UploadDownload' -benchmem . \
 //	    | benchjson -check BENCH_upload_download.json \
-//	        -name UploadDownload/download -metric allocs_per_op \
+//	        -name UploadDownload/upload,UploadDownload/download -metric allocs_per_op \
 //	        -max-regress 0.20 > /dev/null
 package main
 
@@ -43,7 +44,7 @@ type result struct {
 
 func main() {
 	checkFile := flag.String("check", "", "baseline JSON file to gate against (empty: no gate)")
-	checkName := flag.String("name", "", "bench name to compare (GOMAXPROCS suffix ignored)")
+	checkName := flag.String("name", "", "comma-separated bench names to compare (GOMAXPROCS suffix ignored)")
 	checkMetric := flag.String("metric", "allocs_per_op", "metric to compare: ns_per_op, mb_per_s, bytes_per_op, allocs_per_op, or an extra key")
 	maxRegress := flag.Float64("max-regress", 0.20, "allowed fractional regression before exiting 1")
 	flag.Parse()
@@ -85,8 +86,14 @@ func main() {
 		os.Exit(1)
 	}
 	if *checkFile != "" {
-		if err := check(out, *checkFile, *checkName, *checkMetric, *maxRegress); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		failed := false
+		for _, name := range strings.Split(*checkName, ",") {
+			if err := check(out, *checkFile, name, *checkMetric, *maxRegress); err != nil {
+				fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+				failed = true
+			}
+		}
+		if failed {
 			os.Exit(1)
 		}
 	}

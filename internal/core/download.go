@@ -13,6 +13,7 @@ import (
 	"repro/internal/exnode"
 	"repro/internal/geo"
 	"repro/internal/integrity"
+	"repro/internal/lbone"
 	"repro/internal/nws"
 	"repro/internal/obs"
 	"repro/internal/sealing"
@@ -271,8 +272,16 @@ type depotLocations struct {
 func (d *depotLocations) get() map[string]geo.Point {
 	d.once.Do(func() {
 		d.locs = map[string]geo.Point{}
-		for addr, info := range d.t.depotDirectory() {
-			d.locs[addr] = info.Loc
+		if d.t.LBone == nil {
+			return
+		}
+		depots, err := d.t.LBone.Query(lbone.Requirements{})
+		if err != nil {
+			d.t.logf("core: lbone query failed: %v", err)
+			return
+		}
+		for _, info := range depots {
+			d.locs[info.Addr] = info.Loc
 		}
 	})
 	return d.locs

@@ -314,8 +314,6 @@ func (d *Depot) serveConn(raw net.Conn, queueWait time.Duration) {
 	}
 	d.metrics.Connects.Add(1)
 	defer d.untrack(raw)
-	// A client parks its connection between operations, so one server
-	// conn serves a sequence of that client's exchanges.
 	conn := &connCtx{Conn: wire.NewConn(raw), queueWait: queueWait}
 	defer conn.Close()
 	for {

@@ -421,7 +421,7 @@ func TestConditionsApplyPerExchange(t *testing.T) {
 	}
 
 	m.SetLink("A", "B", Link{RTT: 10 * time.Millisecond, Mbps: 10, JitterFrac: 0.3})
-	first, again := time.Duration(0), false
+	first, varied := time.Duration(0), false
 	for i := 0; i < 5; i++ {
 		_, took, err := load()
 		if err != nil {
@@ -430,10 +430,10 @@ func TestConditionsApplyPerExchange(t *testing.T) {
 		if i == 0 {
 			first = took
 		} else if took != first {
-			again = true
+			varied = true
 		}
 	}
-	if !again {
+	if !varied {
 		t.Fatalf("jittered exchanges on one connection all took %v", first)
 	}
 

@@ -106,8 +106,7 @@ func (c *Client) WithSpan(sc obs.SpanContext) *Client {
 // Span returns the client's current span context (zero when untraced).
 func (c *Client) Span() obs.SpanContext { return c.span }
 
-// NewClient builds a client with the given options. Its connections are
-// parked for reuse after each operation; call Close to release them.
+// NewClient builds a client with the given options.
 func NewClient(opts ...Option) *Client {
 	c := &Client{
 		dialer:      netx.System(),

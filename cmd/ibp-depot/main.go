@@ -12,18 +12,14 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/depot"
 	"repro/internal/geo"
 	"repro/internal/ibp"
 	"repro/internal/lbone"
-	"repro/internal/obs"
 )
 
 func main() {
@@ -41,147 +37,110 @@ func main() {
 		site        = flag.String("site", "UTK", "site name for proximity resolution (see internal/geo)")
 		heartbeat   = flag.Duration("heartbeat", time.Minute, "L-Bone heartbeat interval")
 		reapEvery   = flag.Duration("reap", time.Minute, "expired-allocation sweep interval")
-		metricsAddr = flag.String("metrics-listen", "", "serve /metrics, /healthz, /trace/<id>, and /postmortem/<trace> over HTTP on this address (e.g. :9714; empty = off)")
-		pprofOn     = flag.Bool("pprof", false, "also serve /debug/pprof on the metrics listener")
-		logJSON     = flag.Bool("log-json", false, "emit structured logs as JSON (default: human-readable text)")
 		pmDir       = flag.String("postmortem-dir", "", "write panic postmortem bundles to this directory (empty = keep in memory only)")
 	)
-	flag.Parse()
-
-	recorder := obs.NewFlightRecorder(0)
-	logger := obs.NewLogger(obs.LogConfig{JSON: *logJSON, Component: "ibp-depot", Recorder: recorder})
-	fatal := func(msg string, err error) {
-		logger.Error(msg, "err", err)
-		os.Exit(1)
-	}
-
-	secret, err := loadSecret(*secretFile, logger)
-	if err != nil {
-		fatal("loading secret", err)
-	}
-	cfg := depot.Config{
-		Advertised:    *advertised,
-		Secret:        secret,
-		Capacity:      *capacity,
-		MaxDuration:   *maxDuration,
-		Logger:        logger,
-		Recorder:      recorder,
-		PostmortemDir: *pmDir,
-	}
-	kind := *backendKind
-	if kind == "" {
-		if *dir != "" {
-			kind = "file"
-		} else {
-			kind = "memory"
-		}
-	}
-	switch kind {
-	case "memory":
-		// depot.Serve defaults to the in-memory backend.
-	case "file":
-		if *dir == "" {
-			fatal("backend", fmt.Errorf("-backend file requires -dir"))
-		}
-		backend, err := depot.NewFileBackend(*dir)
+	daemon.Main("ibp-depot", flag.CommandLine, os.Args[1:], func(dm *daemon.Daemon) error {
+		logger := dm.Logger
+		secret, err := loadSecret(*secretFile, logger)
 		if err != nil {
-			fatal("opening file backend", err)
+			return fmt.Errorf("loading secret: %w", err)
 		}
-		cfg.Backend = backend
-	case "pack":
-		if *dir == "" {
-			fatal("backend", fmt.Errorf("-backend pack requires -dir"))
+		cfg := depot.Config{
+			Advertised:    *advertised,
+			Secret:        secret,
+			Capacity:      *capacity,
+			MaxDuration:   *maxDuration,
+			Logger:        logger,
+			Recorder:      dm.Recorder,
+			PostmortemDir: *pmDir,
 		}
-		backend, err := depot.NewPackBackend(*dir, *bundleCap)
-		if err != nil {
-			fatal("opening pack backend", err)
-		}
-		cfg.Backend = backend
-		defer backend.Close()
-	default:
-		fatal("backend", fmt.Errorf("unknown backend %q (want memory, file, or pack)", kind))
-	}
-	d, err := depot.Serve(*listen, cfg)
-	if err != nil {
-		fatal("serve", err)
-	}
-	logger.Info("serving", "capacity_bytes", *capacity, "addr", d.Addr(), "advertised", d.Advertised())
-
-	controlAddr := ""
-	if *metricsAddr != "" {
-		mux := d.ObsMux()
-		if *pprofOn {
-			obs.AttachPprof(mux)
-		}
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			fatal("metrics listener", err)
-		}
-		controlAddr = lbone.AdvertisedControlAddr(ln.Addr().String())
-		go func() {
-			logger.Info("metrics listening", "url", "http://"+controlAddr+"/metrics")
-			if err := http.Serve(ln, mux); err != nil {
-				logger.Error("metrics listener", "err", err)
-			}
-		}()
-	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-
-	// Periodic expired-allocation sweep.
-	go func() {
-		t := time.NewTicker(*reapEvery)
-		defer t.Stop()
-		for range t.C {
-			if n := d.ReapExpired(); n > 0 {
-				logger.Info("reaped expired allocations", "n", n)
+		kind := *backendKind
+		if kind == "" {
+			if *dir != "" {
+				kind = "file"
+			} else {
+				kind = "memory"
 			}
 		}
-	}()
+		switch kind {
+		case "memory":
+			// depot.Serve defaults to the in-memory backend.
+		case "file":
+			if *dir == "" {
+				return fmt.Errorf("-backend file requires -dir")
+			}
+			backend, err := depot.NewFileBackend(*dir)
+			if err != nil {
+				return fmt.Errorf("opening file backend: %w", err)
+			}
+			cfg.Backend = backend
+		case "pack":
+			if *dir == "" {
+				return fmt.Errorf("-backend pack requires -dir")
+			}
+			backend, err := depot.NewPackBackend(*dir, *bundleCap)
+			if err != nil {
+				return fmt.Errorf("opening pack backend: %w", err)
+			}
+			cfg.Backend = backend
+			defer backend.Close()
+		default:
+			return fmt.Errorf("unknown backend %q (want memory, file, or pack)", kind)
+		}
+		d, err := depot.Serve(*listen, cfg)
+		if err != nil {
+			return err
+		}
+		logger.Info("serving", "capacity_bytes", *capacity, "addr", d.Addr(), "advertised", d.Advertised())
 
-	// Optional L-Bone registration + heartbeat.
-	if *lboneAddr != "" {
-		siteInfo, ok := geo.LookupSite(*site)
-		if !ok {
-			fatal("unknown site", fmt.Errorf("%q", *site))
+		// Optional L-Bone registration + heartbeat.
+		var client *lbone.Client
+		if *lboneAddr != "" {
+			siteInfo, ok := geo.LookupSite(*site)
+			if !ok {
+				return fmt.Errorf("unknown site %q", *site)
+			}
+			client = lbone.NewClient(*lboneAddr)
+			info := lbone.DepotInfo{
+				Addr:        d.Advertised(),
+				Name:        *name,
+				Site:        siteInfo.Name,
+				Loc:         siteInfo.Loc,
+				Capacity:    *capacity,
+				MaxDuration: *maxDuration,
+			}
+			if err := client.Register(info); err != nil {
+				return fmt.Errorf("registering with L-Bone: %w", err)
+			}
+			logger.Info("registered with L-Bone", "lbone", *lboneAddr, "name", *name, "site", siteInfo.Name)
+			go func() {
+				t := time.NewTicker(*heartbeat)
+				defer t.Stop()
+				for range t.C {
+					if err := client.Heartbeat(info.Addr); err != nil {
+						logger.Warn("heartbeat failed", "err", err)
+					}
+				}
+			}()
 		}
-		client := lbone.NewClient(*lboneAddr)
-		info := lbone.DepotInfo{
-			Addr:        d.Advertised(),
-			Name:        *name,
-			Site:        siteInfo.Name,
-			Loc:         siteInfo.Loc,
-			Capacity:    *capacity,
-			MaxDuration: *maxDuration,
+		if err := dm.Serve(d.Surface(), client, *name); err != nil {
+			return err
 		}
-		if err := client.Register(info); err != nil {
-			fatal("registering with L-Bone", err)
-		}
-		logger.Info("registered with L-Bone", "lbone", *lboneAddr, "name", *name, "site", siteInfo.Name)
+
+		// Periodic expired-allocation sweep.
 		go func() {
-			t := time.NewTicker(*heartbeat)
+			t := time.NewTicker(*reapEvery)
 			defer t.Stop()
 			for range t.C {
-				if err := client.Heartbeat(info.Addr); err != nil {
-					logger.Warn("heartbeat failed", "err", err)
+				if n := d.ReapExpired(); n > 0 {
+					logger.Info("reaped expired allocations", "n", n)
 				}
 			}
 		}()
-		// Announce the control endpoint too, so the obsd aggregator
-		// discovers this depot's scrape surface through the same registry.
-		if controlAddr != "" {
-			go client.AnnounceControl(lbone.ControlInfo{
-				Addr: controlAddr, Component: "ibp-depot", Name: *name,
-			}, *heartbeat, logger, nil)
-		}
-	}
 
-	<-stop
-	logger.Info("shutting down")
-	if err := d.Close(); err != nil {
-		fatal("close", err)
-	}
+		<-dm.Stop
+		return d.Close()
+	})
 }
 
 // loadSecret reads the signing secret, generating an ephemeral one when no

@@ -17,77 +17,51 @@ package main
 
 import (
 	"flag"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/ibp"
 	"repro/internal/lbone"
-	"repro/internal/obs"
 	"repro/internal/registry"
 )
 
 func main() {
 	var (
-		listen      = flag.String("listen", "127.0.0.1:6767", "address to listen on")
-		ttl         = flag.Duration("ttl", 5*time.Minute, "depot liveness window (0 = never expire)")
-		poll        = flag.Duration("poll", 0, "refresh depot capacities via STATUS at this interval (0 = off)")
-		metricsAddr = flag.String("metrics-listen", "", "serve /metrics and /healthz over HTTP on this address (e.g. :9767; empty = off)")
-		pprofOn     = flag.Bool("pprof", false, "also serve /debug/pprof on the metrics listener")
-		logJSON     = flag.Bool("log-json", false, "emit structured logs as JSON (default: human-readable text)")
-		replicas    = flag.String("replicas", "", "comma-separated replica group membership (including this member); empty = classic single registry")
-		viewSeq     = flag.Int64("view-seq", 1, "view sequence number of the static -replicas membership")
-		shards      = flag.Int("shards", registry.DefaultShards, "exNode directory shard count (must match across the group)")
+		listen   = flag.String("listen", "127.0.0.1:6767", "address to listen on")
+		ttl      = flag.Duration("ttl", 5*time.Minute, "depot liveness window (0 = never expire)")
+		poll     = flag.Duration("poll", 0, "refresh depot capacities via STATUS at this interval (0 = off)")
+		replicas = flag.String("replicas", "", "comma-separated replica group membership (including this member); empty = classic single registry")
+		viewSeq  = flag.Int64("view-seq", 1, "view sequence number of the static -replicas membership")
+		shards   = flag.Int("shards", registry.DefaultShards, "exNode directory shard count (must match across the group)")
 	)
-	flag.Parse()
-
-	logger := obs.NewLogger(obs.LogConfig{JSON: *logJSON, Component: "lbone-server"})
-	var s *lbone.Server
-	var err error
-	if *replicas != "" {
-		var rep *registry.Replica
-		s, rep, err = registry.Serve(*listen, registry.Config{
-			Members: lbone.SplitAddrs(*replicas),
-			Seq:     *viewSeq,
-			Shards:  *shards,
-			TTL:     *ttl,
-			Logger:  logger,
-		})
-		if err == nil {
-			v := rep.View()
-			logger.Info("replica group", "seq", v.Seq, "members", len(v.Members), "shards", v.Shards)
-		}
-	} else {
-		s, err = lbone.ServeRegistry(*listen, lbone.ServerConfig{
-			TTL:    *ttl,
-			Logger: logger,
-		})
-	}
-	if err != nil {
-		logger.Error("serve", "err", err)
-		os.Exit(1)
-	}
-	logger.Info("listening", "addr", s.Addr(), "ttl", *ttl)
-	if *metricsAddr != "" {
-		mux := s.ObsMux()
-		if *pprofOn {
-			obs.AttachPprof(mux)
-		}
-		ln, lerr := net.Listen("tcp", *metricsAddr)
-		if lerr != nil {
-			logger.Error("metrics listener", "err", lerr)
-			os.Exit(1)
-		}
-		controlAddr := lbone.AdvertisedControlAddr(ln.Addr().String())
-		go func() {
-			logger.Info("metrics listening", "url", "http://"+controlAddr+"/metrics")
-			if err := http.Serve(ln, mux); err != nil {
-				logger.Error("metrics listener", "err", err)
+	daemon.Main("lbone-server", flag.CommandLine, os.Args[1:], func(d *daemon.Daemon) error {
+		logger := d.Logger
+		var s *lbone.Server
+		var err error
+		if *replicas != "" {
+			var rep *registry.Replica
+			s, rep, err = registry.Serve(*listen, registry.Config{
+				Members: lbone.SplitAddrs(*replicas),
+				Seq:     *viewSeq,
+				Shards:  *shards,
+				TTL:     *ttl,
+				Logger:  logger,
+			})
+			if err == nil {
+				v := rep.View()
+				logger.Info("replica group", "seq", v.Seq, "members", len(v.Members), "shards", v.Shards)
 			}
-		}()
+		} else {
+			s, err = lbone.ServeRegistry(*listen, lbone.ServerConfig{
+				TTL:    *ttl,
+				Logger: logger,
+			})
+		}
+		if err != nil {
+			return err
+		}
+		logger.Info("listening", "addr", s.Addr(), "ttl", *ttl)
 		// Self-register the control endpoint in this registry's own
 		// control table (and, with -replicas, its peers'), so the obsd
 		// aggregator scrapes the registry tier alongside the depots.
@@ -95,22 +69,15 @@ func main() {
 		if *replicas != "" {
 			self = lbone.NewClient(*replicas)
 		}
-		go self.AnnounceControl(lbone.ControlInfo{
-			Addr: controlAddr, Component: "lbone-server", Name: s.Addr(),
-		}, *ttl/2, logger, nil)
-	}
-	if *poll > 0 {
-		p := s.StartPoller(ibp.NewClient(), *poll)
-		defer p.Stop()
-		logger.Info("polling depot capacities", "interval", *poll)
-	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-	logger.Info("shutting down")
-	if err := s.Close(); err != nil {
-		logger.Error("close", "err", err)
-		os.Exit(1)
-	}
+		if err := d.Serve(s.Surface(), self, s.Addr()); err != nil {
+			return err
+		}
+		if *poll > 0 {
+			p := s.StartPoller(ibp.NewClient(), *poll)
+			defer p.Stop()
+			logger.Info("polling depot capacities", "interval", *poll)
+		}
+		<-d.Stop
+		return s.Close()
+	})
 }

@@ -23,15 +23,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/geo"
 	"repro/internal/health"
 	"repro/internal/ibp"
@@ -45,14 +41,6 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("maintaind: ")
-	if err := run(os.Args[1:]); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run(args []string) error {
 	fs := flag.NewFlagSet("maintaind", flag.ExitOnError)
 	var (
 		lboneAddr    = fs.String("lbone", os.Getenv("XND_LBONE"), "registry replica set, comma-separated (or $XND_LBONE); directory walks and depot discovery go through majority quorums")
@@ -68,138 +56,105 @@ func run(args []string) error {
 		riskFloor    = fs.Float64("risk-threshold", 0.05, "minimum risk score that queues a file")
 		probeEvery   = fs.Duration("probe-interval", 5*time.Minute, "embedded availability monitor sweep cadence (0 = no monitor)")
 		opTimeout    = fs.Duration("timeout", 30*time.Second, "per-operation timeout")
-		metricsAddr  = fs.String("metrics-listen", "", "serve /metrics, /healthz, /report, /slo on this address (empty = off)")
-		pprofOn      = fs.Bool("pprof", false, "also serve /debug/pprof on the metrics listener")
-		logJSON      = fs.Bool("log-json", false, "log one JSON object per line instead of text")
 	)
-	fs.Parse(args)
+	daemon.Main("maintaind", fs, os.Args[1:], func(dm *daemon.Daemon) error {
+		if *lboneAddr == "" {
+			return fmt.Errorf("-lbone is required (the replicated directory is what maintaind maintains)")
+		}
+		site, ok := geo.LookupSite(*siteName)
+		if !ok {
+			return fmt.Errorf("unknown site %q", *siteName)
+		}
+		logger := dm.Logger
+		sloEngine := slo.New(slo.Config{Logger: logger})
 
-	if *lboneAddr == "" {
-		return fmt.Errorf("-lbone is required (the replicated directory is what maintaind maintains)")
-	}
-	site, ok := geo.LookupSite(*siteName)
-	if !ok {
-		return fmt.Errorf("unknown site %q", *siteName)
-	}
+		// One health scoreboard shared by every IBP consumer in the process:
+		// the monitor's probes, the repair passes, and placement ranking all
+		// see the same circuits.
+		sb := health.New(health.Config{})
+		client := ibp.NewClient(
+			ibp.WithOpTimeout(*opTimeout),
+			ibp.WithHealth(sb),
+			ibp.WithObserver(slo.ObserveIBP(sloEngine)),
+		)
+		qc := registry.NewQuorumClient(*lboneAddr,
+			registry.WithTimeouts(5*time.Second, *opTimeout),
+			registry.WithObserver(slo.ObserveRegistry(sloEngine)),
+		)
+		tools := &core.Tools{
+			IBP:       client,
+			LBone:     qc,
+			Directory: registry.NewDirectory(qc),
+			NWS:       nws.NewService(nil, 256),
+			Health:    sb,
+			Site:      site.Name,
+			Loc:       site.Loc,
+			Logger:    logger,
+		}
 
-	recorder := obs.NewFlightRecorder(0)
-	logger := obs.NewLogger(obs.LogConfig{JSON: *logJSON, Component: "maintaind", Recorder: recorder})
-	sloEngine := slo.New(slo.Config{Logger: logger})
-
-	// One health scoreboard shared by every IBP consumer in the process:
-	// the monitor's probes, the repair passes, and placement ranking all
-	// see the same circuits.
-	sb := health.New(health.Config{})
-	client := ibp.NewClient(
-		ibp.WithOpTimeout(*opTimeout),
-		ibp.WithHealth(sb),
-		ibp.WithObserver(slo.ObserveIBP(sloEngine)),
-	)
-	qc := registry.NewQuorumClient(*lboneAddr,
-		registry.WithTimeouts(5*time.Second, *opTimeout),
-		registry.WithObserver(slo.ObserveRegistry(sloEngine)),
-	)
-	tools := &core.Tools{
-		IBP:       client,
-		LBone:     qc,
-		Directory: registry.NewDirectory(qc),
-		NWS:       nws.NewService(nil, 256),
-		Health:    sb,
-		Site:      site.Name,
-		Loc:       site.Loc,
-		Logger:    logger,
-	}
-
-	stop := make(chan struct{})
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		log.Print("shutting down")
-		close(stop)
-	}()
-
-	cfg := repaird.Config{
-		Tools:             tools,
-		ShardIndex:        *shardIndex,
-		ShardCount:        *shardCount,
-		Interval:          *interval,
-		Workers:           *workers,
-		MaxRepairPerDepot: *maxPerDepot,
-		RiskThreshold:     *riskFloor,
-		SLO:               sloEngine,
-		Recorder:          recorder,
-		Logger:            logger,
-		Maintain: core.MaintainOptions{
-			MinCoverage:  *minCoverage,
-			RefreshBelow: *refreshBelow,
-			RefreshTo:    *refreshTo,
-		},
-	}
-
-	// The embedded availability monitor probes the L-Bone depot set and
-	// feeds the risk scorer its measured series (and, via the shared
-	// scoreboard, keeps circuits fresh between repair passes).
-	if *probeEvery > 0 {
-		mon, err := stackmon.New(stackmon.Config{
-			Client:   client,
-			Interval: *probeEvery,
-			Discover: func() []string {
-				infos, err := qc.Query(lbone.Requirements{})
-				if err != nil {
-					logger.Warn("maintaind: depot discovery", "err", err)
-					return nil
-				}
-				addrs := make([]string, len(infos))
-				for i, d := range infos {
-					addrs[i] = d.Addr
-				}
-				return addrs
+		cfg := repaird.Config{
+			Tools:             tools,
+			ShardIndex:        *shardIndex,
+			ShardCount:        *shardCount,
+			Interval:          *interval,
+			Workers:           *workers,
+			MaxRepairPerDepot: *maxPerDepot,
+			RiskThreshold:     *riskFloor,
+			SLO:               sloEngine,
+			Logger:            logger,
+			Maintain: core.MaintainOptions{
+				MinCoverage:  *minCoverage,
+				RefreshBelow: *refreshBelow,
+				RefreshTo:    *refreshTo,
 			},
-			Logf: log.Printf,
-		})
-		if err != nil {
-			return err
 		}
-		cfg.Avail = mon
-		go mon.Run(stop)
-	}
 
-	d, err := repaird.New(cfg)
-	if err != nil {
-		return err
-	}
-
-	if *metricsAddr != "" {
-		mux := d.ObsMux()
-		if *pprofOn {
-			obs.AttachPprof(mux)
-		}
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			return err
-		}
-		controlAddr := lbone.AdvertisedControlAddr(ln.Addr().String())
-		go func() {
-			log.Printf("metrics on http://%s/metrics", controlAddr)
-			if err := http.Serve(ln, mux); err != nil {
-				log.Printf("metrics listener: %v", err)
+		// The embedded availability monitor probes the L-Bone depot set and
+		// feeds the risk scorer its measured series (and, via the shared
+		// scoreboard, keeps circuits fresh between repair passes).
+		if *probeEvery > 0 {
+			mon, err := stackmon.New(stackmon.Config{
+				Client:   client,
+				Interval: *probeEvery,
+				Discover: func() []string {
+					infos, err := qc.Query(lbone.Requirements{})
+					if err != nil {
+						logger.Warn("depot discovery", "err", err)
+						return nil
+					}
+					addrs := make([]string, len(infos))
+					for i, d := range infos {
+						addrs[i] = d.Addr
+					}
+					return addrs
+				},
+				Logf: obs.Logf(logger),
+			})
+			if err != nil {
+				return err
 			}
-		}()
+			cfg.Avail = mon
+			go mon.Run(dm.Stop)
+		}
+
+		d, err := repaird.New(cfg)
+		if err != nil {
+			return err
+		}
 		// Announce the control endpoint so obsd discovers this shard.
-		go lbone.NewClient(*lboneAddr).AnnounceControl(lbone.ControlInfo{
-			Addr:      controlAddr,
-			Component: "maintaind",
-			Name:      fmt.Sprintf("maintaind-%d", *shardIndex),
-		}, *probeEvery, logger, stop)
-	}
+		if err := dm.Serve(d.Surface(), lbone.NewClient(*lboneAddr),
+			fmt.Sprintf("maintaind-%d", *shardIndex)); err != nil {
+			return err
+		}
 
-	log.Printf("maintaining shard %d/%d every %v (%d workers, %d repair slots per depot)",
-		*shardIndex, *shardCount, *interval, *workers, *maxPerDepot)
-	d.Run(stop)
+		logger.Info("maintaining", "shard", *shardIndex, "shards", *shardCount, "interval", *interval,
+			"workers", *workers, "max_per_depot", *maxPerDepot)
+		d.Run(dm.Stop)
 
-	c := d.Counters()
-	log.Printf("done: %d sweeps, %d passes (%d failed), %d refreshed, %d trimmed, %d replicas added, %d conflicts",
-		c.Sweeps, c.Passes, c.PassFailures, c.Refreshed, c.TrimmedDead, c.ReplicasAdded, c.Conflicts)
-	return nil
+		c := d.Counters()
+		logger.Info("done", "sweeps", c.Sweeps, "passes", c.Passes, "pass_failures", c.PassFailures,
+			"refreshed", c.Refreshed, "trimmed_dead", c.TrimmedDead,
+			"replicas_added", c.ReplicasAdded, "conflicts", c.Conflicts)
+		return nil
+	})
 }

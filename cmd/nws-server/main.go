@@ -4,42 +4,40 @@
 //
 // Usage:
 //
-//	nws-server -listen :6770 -history 512
+//	nws-server -listen :6770 -history 512 -metrics-listen :9770 -lbone host:6767
 package main
 
 import (
 	"flag"
 	"os"
-	"os/signal"
-	"syscall"
+	"time"
 
+	"repro/internal/daemon"
+	"repro/internal/lbone"
 	"repro/internal/nws"
 	"repro/internal/obs"
 )
 
 func main() {
 	var (
-		listen  = flag.String("listen", "127.0.0.1:6770", "address to listen on")
-		history = flag.Int("history", 512, "raw measurements retained per series")
-		logJSON = flag.Bool("log-json", false, "emit structured logs as JSON (default: human-readable text)")
+		listen    = flag.String("listen", "127.0.0.1:6770", "address to listen on")
+		history   = flag.Int("history", 512, "raw measurements retained per series")
+		lboneAddr = flag.String("lbone", "", "L-Bone to announce the HTTP surface to (optional)")
 	)
-	flag.Parse()
-
-	svc := nws.NewService(nil, *history)
-	logger := obs.NewLogger(obs.LogConfig{JSON: *logJSON, Component: "nws-server"})
-	s, err := nws.ServeNWS(*listen, svc, logger)
-	if err != nil {
-		logger.Error("serve", "err", err)
-		os.Exit(1)
-	}
-	logger.Info("listening", "addr", s.Addr())
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-	logger.Info("shutting down")
-	if err := s.Close(); err != nil {
-		logger.Error("close", "err", err)
-		os.Exit(1)
-	}
+	daemon.Main("nws-server", flag.CommandLine, os.Args[1:], func(d *daemon.Daemon) error {
+		s, err := nws.ServeNWS(*listen, nws.NewService(nil, *history), d.Logger)
+		if err != nil {
+			return err
+		}
+		d.Logger.Info("listening", "addr", s.Addr())
+		var lb *lbone.Client
+		if *lboneAddr != "" {
+			lb = lbone.NewClient(*lboneAddr)
+		}
+		if err := d.Serve(obs.Surface{Component: "nws-server", Start: time.Now()}, lb, s.Addr()); err != nil {
+			return err
+		}
+		<-d.Stop
+		return s.Close()
+	})
 }

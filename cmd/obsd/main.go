@@ -23,9 +23,9 @@
 // that member's pprof heap (and optionally CPU) profiles into
 // -profile-dir, alongside wherever postmortem bundles land.
 //
-// On SIGTERM/SIGINT obsd shuts down gracefully: it flushes the budget
-// ledger (-budget-out) and operator report (-report-out) to disk and
-// deregisters its own control endpoint before exiting.
+// On SIGTERM/SIGINT obsd shuts down gracefully: it deregisters its own
+// control endpoint, then flushes the budget ledger (-budget-out) and
+// operator report (-report-out) to disk before exiting.
 //
 // Usage:
 //
@@ -37,34 +37,20 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
-	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/lbone"
-	"repro/internal/obs"
 	"repro/internal/obsfleet"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("obsd: ")
-	if err := run(os.Args[1:]); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run(args []string) error {
 	fs := flag.NewFlagSet("obsd", flag.ExitOnError)
 	var (
 		lboneAddr     = fs.String("lbone", os.Getenv("XND_LBONE"), "registry replica set, comma-separated (or $XND_LBONE); the control table there is the member source")
 		staticMembers = fs.String("static", "", "additional members as comma-separated host:port control addresses (scraped even without a registry)")
-		listen        = fs.String("listen", ":9790", "serve the fleet view on this address")
 		interval      = fs.Duration("interval", 15*time.Second, "sweep cadence")
 		scrapeTimeout = fs.Duration("scrape-timeout", 10*time.Second, "per-member request timeout")
 		retention     = fs.Duration("retention", 24*time.Hour, "fleet time-series retention: /fleet/query windows are clamped to this")
@@ -72,96 +58,60 @@ func run(args []string) error {
 		reportOut     = fs.String("report-out", "", "write the operator report (FLEET_report.json) here on shutdown (empty = off)")
 		profileDir    = fs.String("profile-dir", "", "capture alert-triggered pprof profiles into this directory (empty = off)")
 		cpuSeconds    = fs.Int("cpu-seconds", 0, "CPU profile length for alert-triggered capture (0 = heap only)")
-		pprofOn       = fs.Bool("pprof", false, "also serve /debug/pprof on the listener")
-		logJSON       = fs.Bool("log-json", false, "log one JSON object per line instead of text")
 	)
-	fs.Parse(args)
-
-	logger := obs.NewLogger(obs.LogConfig{JSON: *logJSON, Component: "obsd"})
-
-	cfg := obsfleet.Config{
-		Interval:          *interval,
-		ScrapeTimeout:     *scrapeTimeout,
-		Retention:         *retention,
-		ProfileDir:        *profileDir,
-		CPUProfileSeconds: *cpuSeconds,
-		Logger:            logger,
-	}
-	var ctl *lbone.Client
-	if *lboneAddr != "" {
-		ctl = lbone.NewClient(*lboneAddr)
-		cfg.Source = ctl
-	}
-	for _, addr := range strings.Split(*staticMembers, ",") {
-		if addr = strings.TrimSpace(addr); addr != "" {
-			cfg.Static = append(cfg.Static, lbone.ControlInfo{
-				Addr: addr, Component: "static", Name: addr,
-			})
+	daemon.MainAt("obsd", "listen", ":9790", fs, os.Args[1:], func(d *daemon.Daemon) error {
+		logger := d.Logger
+		cfg := obsfleet.Config{
+			Interval:          *interval,
+			ScrapeTimeout:     *scrapeTimeout,
+			Retention:         *retention,
+			ProfileDir:        *profileDir,
+			CPUProfileSeconds: *cpuSeconds,
+			Logger:            logger,
 		}
-	}
-	if cfg.Source == nil && len(cfg.Static) == 0 {
-		return errors.New("no member source: set -lbone (control-table discovery) or -static")
-	}
-
-	agg := obsfleet.New(cfg)
-	mux := agg.Mux()
-	if *pprofOn {
-		obs.AttachPprof(mux)
-	}
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return err
-	}
-	go func() {
-		log.Printf("fleet view on http://%s/fleet/report", ln.Addr())
-		if err := http.Serve(ln, mux); err != nil && !errors.Is(err, net.ErrClosed) {
-			log.Printf("listener: %v", err)
+		// obsd is a fleet member too: it announces its own control
+		// endpoint so a peer aggregator can scrape it.
+		var ctl *lbone.Client
+		if *lboneAddr != "" {
+			ctl = lbone.NewClient(*lboneAddr)
+			cfg.Source = ctl
 		}
-	}()
-
-	stop := make(chan struct{})
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		log.Print("shutting down")
-		close(stop)
-	}()
-
-	// obsd is a fleet member too: announce its own control endpoint so a
-	// peer aggregator (or a fleet of one pane each) can scrape it.
-	selfAddr := lbone.AdvertisedControlAddr(ln.Addr().String())
-	if ctl != nil {
-		go ctl.AnnounceControl(lbone.ControlInfo{
-			Addr: selfAddr, Component: "obsd", Name: "obsd",
-		}, *interval, logger, stop)
-	}
-
-	log.Printf("sweeping every %v (retention %v)", *interval, *retention)
-	agg.Run(stop)
-
-	// Graceful shutdown: flush the shutdown artifacts, deregister, close.
-	if *budgetOut != "" {
-		if err := agg.WriteBudget(*budgetOut); err != nil {
-			log.Printf("budget flush: %v", err)
-		} else {
-			log.Printf("budget ledger written to %s", *budgetOut)
+		for _, addr := range strings.Split(*staticMembers, ",") {
+			if addr = strings.TrimSpace(addr); addr != "" {
+				cfg.Static = append(cfg.Static, lbone.ControlInfo{
+					Addr: addr, Component: "static", Name: addr,
+				})
+			}
 		}
-	}
-	if *reportOut != "" {
-		if err := writeReport(agg, *reportOut); err != nil {
-			log.Printf("report flush: %v", err)
-		} else {
-			log.Printf("fleet report written to %s", *reportOut)
+		if cfg.Source == nil && len(cfg.Static) == 0 {
+			return errors.New("no member source: set -lbone (control-table discovery) or -static")
 		}
-	}
-	if ctl != nil {
-		if err := ctl.DeregisterControl(selfAddr); err != nil {
-			log.Printf("deregister: %v", err)
+
+		agg := obsfleet.New(cfg)
+		if err := d.Serve(agg.Surface(), ctl, "obsd"); err != nil {
+			return err
 		}
-	}
-	ln.Close()
-	return nil
+		logger.Info("sweeping", "interval", *interval, "retention", *retention)
+		agg.Run(d.Stop)
+
+		// Graceful shutdown: the control entry is already gone; flush the
+		// shutdown artifacts.
+		if *budgetOut != "" {
+			if err := agg.WriteBudget(*budgetOut); err != nil {
+				logger.Error("budget flush", "err", err)
+			} else {
+				logger.Info("budget ledger written", "path", *budgetOut)
+			}
+		}
+		if *reportOut != "" {
+			if err := writeReport(agg, *reportOut); err != nil {
+				logger.Error("report flush", "err", err)
+			} else {
+				logger.Info("fleet report written", "path", *reportOut)
+			}
+		}
+		return nil
+	})
 }
 
 // writeReport renders the operator report as JSON into path.

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	stackmon run -lbone host:6767 -interval 5m -payload 65536 \
-//	             -metrics-listen :9790 -state-out stackmon.json
+//	             -metrics-listen :9790 -log-json -state-out stackmon.json
 //	stackmon run -depots host1:6714,host2:6714 -interval 1m
 //	stackmon sim -duration 24h -interval 5m -outages "D02:6h-9h,D05:1h-3h" \
 //	             -json study.json
@@ -19,15 +19,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/ibp"
 	"repro/internal/lbone"
 	"repro/internal/obs"
@@ -44,7 +41,7 @@ func main() {
 	var err error
 	switch os.Args[1] {
 	case "run":
-		err = cmdRun(os.Args[2:])
+		cmdRun(os.Args[2:])
 	case "sim":
 		err = cmdSim(os.Args[2:])
 	case "report":
@@ -67,122 +64,96 @@ commands:
 	os.Exit(2)
 }
 
-func cmdRun(args []string) error {
+// cmdRun is the monitor daemon; its errors exit through the daemon
+// bootstrap.
+func cmdRun(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	var (
-		depots      = fs.String("depots", "", "comma-separated depot addresses to monitor")
-		lboneAddr   = fs.String("lbone", os.Getenv("XND_LBONE"), "L-Bone server for depot discovery (or $XND_LBONE)")
-		interval    = fs.Duration("interval", stackmon.DefInterval, "sweep interval")
-		payload     = fs.Int("payload", 64<<10, "data-round payload bytes (0 = probe-only)")
-		allocFor    = fs.Duration("alloc-duration", stackmon.DefDuration, "data-round allocation lifetime")
-		opTimeout   = fs.Duration("timeout", 30*time.Second, "per-operation timeout")
-		metricsAddr = fs.String("metrics-listen", "", "serve /metrics, /healthz, /report on this address (empty = off)")
-		pprofOn     = fs.Bool("pprof", false, "also serve /debug/pprof on the metrics listener")
-		stateOut    = fs.String("state-out", "", "write the study (JSON, sample detail included) here on exit and every sweep")
-		maxSamples  = fs.Int("max-samples", stackmon.DefMaxSamples, "retained samples per depot")
-		sloOn       = fs.Bool("slo", false, "evaluate SLO burn-rate alerts each sweep and serve them at /slo")
+		depots     = fs.String("depots", "", "comma-separated depot addresses to monitor")
+		lboneAddr  = fs.String("lbone", os.Getenv("XND_LBONE"), "L-Bone server for depot discovery (or $XND_LBONE)")
+		interval   = fs.Duration("interval", stackmon.DefInterval, "sweep interval")
+		payload    = fs.Int("payload", 64<<10, "data-round payload bytes (0 = probe-only)")
+		allocFor   = fs.Duration("alloc-duration", stackmon.DefDuration, "data-round allocation lifetime")
+		opTimeout  = fs.Duration("timeout", 30*time.Second, "per-operation timeout")
+		stateOut   = fs.String("state-out", "", "write the study (JSON, sample detail included) here on exit and every sweep")
+		maxSamples = fs.Int("max-samples", stackmon.DefMaxSamples, "retained samples per depot")
+		sloOn      = fs.Bool("slo", false, "evaluate SLO burn-rate alerts each sweep and serve them at /slo")
 	)
-	fs.Parse(args)
-
-	cfg := stackmon.Config{
-		Client:   ibp.NewClient(ibp.WithOpTimeout(*opTimeout)),
-		Interval: *interval, Payload: *payload, Duration: *allocFor,
-		MaxSamples: *maxSamples,
-		Logf:       log.Printf,
-	}
-	if *sloOn {
-		cfg.SLO = slo.New(slo.Config{
-			Objectives: slo.DefaultObjectives(),
-			Bucket:     *interval,
-			Logger:     obs.NewLogger(obs.LogConfig{Component: "stackmon"}),
-		})
-	}
-	if *depots != "" {
-		for _, a := range strings.Split(*depots, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				cfg.Depots = append(cfg.Depots, a)
+	daemon.Main("stackmon", fs, args, func(d *daemon.Daemon) error {
+		logger := d.Logger
+		cfg := stackmon.Config{
+			Client:   ibp.NewClient(ibp.WithOpTimeout(*opTimeout)),
+			Interval: *interval, Payload: *payload, Duration: *allocFor,
+			MaxSamples: *maxSamples,
+			Logf:       obs.Logf(logger),
+		}
+		if *sloOn {
+			cfg.SLO = slo.New(slo.Config{
+				Objectives: slo.DefaultObjectives(),
+				Bucket:     *interval,
+				Logger:     logger,
+			})
+		}
+		if *depots != "" {
+			for _, a := range strings.Split(*depots, ",") {
+				if a = strings.TrimSpace(a); a != "" {
+					cfg.Depots = append(cfg.Depots, a)
+				}
 			}
 		}
-	}
-	if *lboneAddr != "" {
-		lb := lbone.NewClient(*lboneAddr)
-		cfg.Discover = func() []string {
-			infos, err := lb.List()
-			if err != nil {
-				log.Printf("L-Bone discovery: %v", err)
-				return nil
+		var lb *lbone.Client
+		if *lboneAddr != "" {
+			lb = lbone.NewClient(*lboneAddr)
+			cfg.Discover = func() []string {
+				infos, err := lb.List()
+				if err != nil {
+					logger.Warn("L-Bone discovery", "err", err)
+					return nil
+				}
+				addrs := make([]string, len(infos))
+				for i, d := range infos {
+					addrs[i] = d.Addr
+				}
+				return addrs
 			}
-			addrs := make([]string, len(infos))
-			for i, d := range infos {
-				addrs[i] = d.Addr
-			}
-			return addrs
 		}
-	}
-	mon, err := stackmon.New(cfg)
-	if err != nil {
-		return err
-	}
-
-	stop := make(chan struct{})
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		close(stop)
-	}()
-
-	if *metricsAddr != "" {
-		mux := mon.ObsMux()
-		if *pprofOn {
-			obs.AttachPprof(mux)
-		}
-		ln, err := net.Listen("tcp", *metricsAddr)
+		mon, err := stackmon.New(cfg)
 		if err != nil {
 			return err
 		}
-		controlAddr := lbone.AdvertisedControlAddr(ln.Addr().String())
-		go func() {
-			log.Printf("metrics on http://%s/metrics", controlAddr)
-			if err := http.Serve(ln, mux); err != nil {
-				log.Printf("metrics listener: %v", err)
-			}
-		}()
 		// Announce the control endpoint so obsd discovers the monitor.
-		if *lboneAddr != "" {
-			go lbone.NewClient(*lboneAddr).AnnounceControl(lbone.ControlInfo{
-				Addr: controlAddr, Component: "stackmon", Name: "stackmon",
-			}, *interval, nil, stop)
-		}
-	}
-
-	log.Printf("monitoring every %v (payload %d bytes)", *interval, *payload)
-	if *stateOut != "" {
-		// Persist after every sweep so a crash loses at most one interval.
-		go func() {
-			for {
-				select {
-				case <-stop:
-					return
-				case <-time.After(*interval):
-					if err := writeStudy(*stateOut, mon.Snapshot(true)); err != nil {
-						log.Printf("state-out: %v", err)
-					}
-				}
-			}
-		}()
-	}
-	mon.Run(stop)
-
-	st := mon.Snapshot(true)
-	if *stateOut != "" {
-		if err := writeStudy(*stateOut, st); err != nil {
+		if err := d.Serve(mon.Surface(), lb, "stackmon"); err != nil {
 			return err
 		}
-		log.Printf("study written to %s", *stateOut)
-	}
-	fmt.Print(st.Markdown())
-	return nil
+
+		logger.Info("monitoring", "interval", *interval, "payload_bytes", *payload)
+		if *stateOut != "" {
+			// Persist after every sweep so a crash loses at most one interval.
+			go func() {
+				for {
+					select {
+					case <-d.Stop:
+						return
+					case <-time.After(*interval):
+						if err := writeStudy(*stateOut, mon.Snapshot(true)); err != nil {
+							logger.Error("state-out", "err", err)
+						}
+					}
+				}
+			}()
+		}
+		mon.Run(d.Stop)
+
+		st := mon.Snapshot(true)
+		if *stateOut != "" {
+			if err := writeStudy(*stateOut, st); err != nil {
+				return err
+			}
+			logger.Info("study written", "path", *stateOut)
+		}
+		fmt.Print(st.Markdown())
+		return nil
+	})
 }
 
 func cmdSim(args []string) error {

@@ -359,18 +359,18 @@ func (c *commonFlags) tools() (*core.Tools, error) {
 	}
 	t.Transfer = transfer.New(engCfg)
 	if *c.metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.MetricsHandler(func() []obs.Metric {
-			ms := t.Transfer.Metrics("xnd_transfer_")
-			if traceCol != nil {
-				ms = append(ms, traceCol.CollectorMetrics("xnd_ibp_")...)
-			}
-			ms = append(ms, forecasts.Metrics()...)
-			ms = append(ms, sloEngine.Metrics()...)
-			return append(ms, obs.RuntimeMetrics()...)
-		}))
-		mux.Handle("/slo", sloEngine.Handler())
-		mux.Handle("/postmortem/", obs.PostmortemHandler(recorder, "xnd", time.Now))
+		mux := obs.Surface{
+			Component: "xnd", Start: time.Now(), Recorder: recorder,
+			Metrics: func() []obs.Metric {
+				ms := t.Transfer.Metrics("xnd_transfer_")
+				if traceCol != nil {
+					ms = append(ms, traceCol.CollectorMetrics("xnd_ibp_")...)
+				}
+				ms = append(ms, forecasts.Metrics()...)
+				return append(ms, sloEngine.Metrics()...)
+			},
+			Routes: map[string]http.Handler{"/slo": sloEngine.Handler()},
+		}.Mux()
 		if *c.pprofOn {
 			obs.AttachPprof(mux)
 		}

@@ -2,14 +2,13 @@ package depot
 
 import (
 	"errors"
-	"net/http"
 
 	"repro/internal/obs"
 )
 
-// The depot's scrape surface: /metrics in Prometheus text format and a
-// /healthz liveness probe. The handlers read live state per request, so a
-// scraper sees current gauges, not a snapshot from startup.
+// The depot's scrape surface (see obs.Surface). The handlers read live
+// state per request, so a scraper sees current gauges, not a snapshot
+// from startup.
 
 // PromMetrics renders the depot's operation counters and allocation/expiry
 // gauges as Prometheus samples.
@@ -56,8 +55,7 @@ func (d *Depot) PromMetrics() []obs.Metric {
 		}
 	}
 	gauge("ibp_depot_next_expiry_seconds", "Seconds until the earliest allocation expires (0 = none pending).", nextExpiry)
-	ms = append(ms, obs.ProcessMetrics("ibp-depot", d.clock.Now, d.started)...)
-	return append(ms, d.cfg.Recorder.RingMetrics()...)
+	return ms
 }
 
 // healthy reports whether the depot is still serving.
@@ -70,19 +68,12 @@ func (d *Depot) healthy() error {
 	return nil
 }
 
-// ObsMux returns an HTTP mux serving GET /metrics (Prometheus text format,
-// including Go runtime gauges), GET /healthz, GET /trace/<traceID> (the
-// flight recorder's events for the trace, server spans included, as JSON)
-// and GET /postmortem/<trace>. The caller owns the listener:
-//
-//	go http.ListenAndServe(metricsAddr, d.ObsMux())
-func (d *Depot) ObsMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.MetricsHandler(func() []obs.Metric {
-		return append(d.PromMetrics(), obs.RuntimeMetrics()...)
-	}))
-	mux.Handle("/healthz", obs.HealthzHandler(d.healthy))
-	mux.Handle("/trace/", obs.TraceJSONHandler(d.cfg.Recorder))
-	mux.Handle("/postmortem/", obs.PostmortemHandler(d.cfg.Recorder, "ibp-depot", d.clock.Now))
-	return mux
+// Surface describes the depot's HTTP surface: its own series and
+// liveness on the shared routes, traces and postmortems from its flight
+// recorder.
+func (d *Depot) Surface() obs.Surface {
+	return obs.Surface{
+		Component: "ibp-depot", Now: d.clock.Now, Start: d.started,
+		Recorder: d.cfg.Recorder, Metrics: d.PromMetrics, Healthy: d.healthy,
+	}
 }

@@ -30,7 +30,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(d.ObsMux())
+	srv := httptest.NewServer(d.Surface().Mux())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -69,7 +69,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestHealthzEndpoint(t *testing.T) {
 	d, _ := newDepot(t, Config{})
-	srv := httptest.NewServer(d.ObsMux())
+	srv := httptest.NewServer(d.Surface().Mux())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -116,7 +116,7 @@ func TestTraceAndPostmortemHandlers(t *testing.T) {
 	rec.StoreBundle(obs.Bundle{Trace: "feedc0de", Reason: "panic", Component: "ibp-depot"})
 	rec.Record(obs.Event{Verb: ibp.OpLoad, Depot: d.Addr(), Trace: "0ddba11", Outcome: "error", Err: "timeout"})
 
-	srv := httptest.NewServer(d.ObsMux())
+	srv := httptest.NewServer(d.Surface().Mux())
 	defer srv.Close()
 
 	cases := []struct {
@@ -183,7 +183,7 @@ func TestTraceSpansCountRingOverflow(t *testing.T) {
 			t.Fatalf("traced status %d: %v", i, err)
 		}
 	}
-	srv := httptest.NewServer(d.ObsMux())
+	srv := httptest.NewServer(d.Surface().Mux())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {

@@ -6,7 +6,7 @@ package depot
 // time, bytes, capability violations), returns the summary as a status-line
 // trailer the client folds into its own event, and retains the same record
 // as a KindSpan obs.Event in its flight recorder, served by /trace/<traceid>
-// on the ObsMux.
+// on the depot's obs.Surface.
 
 import (
 	"time"

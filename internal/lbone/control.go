@@ -6,9 +6,9 @@ package lbone
 // nothing in the stack knew where those muxes lived: operators had to
 // hand-maintain scrape lists. The L-Bone already solves discovery for
 // depots (paper §2.2), so the same registry carries a second, additive
-// table of control endpoints. Daemons self-register their ObsMux address
-// here and the obsd aggregator (internal/obsfleet) discovers every
-// scrape target through the registry it already knows.
+// table of control endpoints. Daemons self-register the address of their
+// obs.Surface here and the obsd aggregator (internal/obsfleet) discovers
+// every scrape target through the registry it already knows.
 //
 // The wire verbs are additive (CREGISTER/CHEARTBEAT/CDEREGISTER/CLIST)
 // so old clients and replicas interoperate unchanged; the 6-token DEPOT
@@ -207,16 +207,20 @@ func AdvertisedControlAddr(listen string) string {
 	return net.JoinHostPort("127.0.0.1", port)
 }
 
-// AnnounceControl registers ci and re-announces it every interval until
-// stop closes, then deregisters. Failures are logged and retried on the
-// next tick, never fatal: observability registration must not take a
-// serving daemon down. Blocks; callers run it in a goroutine.
-func (c *Client) AnnounceControl(ci ControlInfo, interval time.Duration, logger *slog.Logger, stop <-chan struct{}) {
+// ControlAnnounceInterval is how often AnnounceControl re-registers an
+// endpoint: one cadence for every daemon, well inside the registry's
+// default 5m TTL, so a live daemon never drops out of CLIST between
+// announcements whatever its own work cadence is.
+const ControlAnnounceInterval = time.Minute
+
+// AnnounceControl registers ci and re-announces it every
+// ControlAnnounceInterval until stop closes, then deregisters. Failures
+// are logged and retried on the next tick, never fatal: observability
+// registration must not take a serving daemon down. Blocks; callers run
+// it in a goroutine.
+func (c *Client) AnnounceControl(ci ControlInfo, logger *slog.Logger, stop <-chan struct{}) {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
-	}
-	if interval <= 0 {
-		interval = time.Minute
 	}
 	announce := func() {
 		if err := c.RegisterControl(ci); err != nil {
@@ -231,7 +235,7 @@ func (c *Client) AnnounceControl(ci ControlInfo, interval time.Duration, logger 
 				logger.Warn("control deregistration failed", "addr", ci.Addr, "err", err)
 			}
 			return
-		case <-c.clock.After(interval):
+		case <-c.clock.After(ControlAnnounceInterval):
 			// Re-register rather than heartbeat: idempotent, and it heals
 			// replicas that missed the original write or restarted since.
 			announce()

@@ -26,7 +26,7 @@ func TestLBoneMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(s.ObsMux())
+	srv := httptest.NewServer(s.Surface().Mux())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -56,7 +56,7 @@ func TestLBoneMetricsEndpoint(t *testing.T) {
 
 func TestLBoneHealthzEndpoint(t *testing.T) {
 	s, _ := startServer(t, ServerConfig{})
-	srv := httptest.NewServer(s.ObsMux())
+	srv := httptest.NewServer(s.Surface().Mux())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/healthz")

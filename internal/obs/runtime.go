@@ -7,8 +7,8 @@ import (
 )
 
 // RuntimeMetrics samples the Go runtime: goroutine count, heap usage, and
-// GC activity. Intended to be appended to every binary's /metrics
-// exposition so a stuck daemon can be diagnosed without a debugger.
+// GC activity. Every Surface appends it to /metrics, so a stuck daemon
+// can be diagnosed without a debugger.
 func RuntimeMetrics() []Metric {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

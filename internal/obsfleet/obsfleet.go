@@ -2,7 +2,7 @@
 // that turns a stack of per-daemon control endpoints into one pane of
 // glass. Every daemon in the stack (depots, registry replicas,
 // maintenance shards, monitors, tool surrogates) already serves
-// /metrics, /healthz, /slo, /trace/ and /postmortem/ on its ObsMux; what
+// /metrics, /healthz, /slo, /trace/ and /postmortem/ on its obs.Surface; what
 // was missing is the layer that knows where they all are and joins what
 // they say.
 //
@@ -408,6 +408,5 @@ func (a *Aggregator) SelfMetrics() []obs.Metric {
 			Labels: []obs.Label{{Name: "member", Value: addr}},
 		})
 	}
-	ms = append(ms, obs.ProcessMetrics("obsd", a.clock.Now, a.started)...)
 	return ms
 }

@@ -29,7 +29,7 @@ func TestClientAndDepotShareOneRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	depotObs := httptest.NewServer(d.ObsMux())
+	depotObs := httptest.NewServer(d.Surface().Mux())
 	defer depotObs.Close()
 
 	root := obs.NewRootSpan()
@@ -61,7 +61,7 @@ func TestClientAndDepotShareOneRecord(t *testing.T) {
 		Addr: strings.TrimPrefix(depotObs.URL, "http://"), Component: "ibp-depot", Name: "D1",
 	}}})
 	a.Sweep()
-	ui := httptest.NewServer(a.Mux())
+	ui := httptest.NewServer(a.Surface().Mux())
 	defer ui.Close()
 	var ft obsfleet.FleetTrace
 	getInto(t, ui.URL+"/fleet/trace/"+root.TraceID, &ft)

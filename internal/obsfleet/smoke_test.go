@@ -124,7 +124,7 @@ func TestObsdFleetSmoke(t *testing.T) {
 		return addr
 	}
 	for i, s := range srvs {
-		announce(s.ObsMux(), "lbone-server", addrs[i])
+		announce(s.Surface().Mux(), "lbone-server", addrs[i])
 	}
 
 	// --- Three depots; depot A dies for hours [1,3) of the run. ---
@@ -159,7 +159,7 @@ func TestObsdFleetSmoke(t *testing.T) {
 				Addr: d.Addr(), Name: name, Site: site.Name, Loc: site.Loc,
 				Capacity: 64 << 20, MaxDuration: 30 * 24 * time.Hour,
 			},
-			ctrl: announce(d.ObsMux(), "ibp-depot", name),
+			ctrl: announce(d.Surface().Mux(), "ibp-depot", name),
 		}
 	}
 	dead := serveDepot("A", geo.UTK, faultnet.Windows{Down: []faultnet.Window{{From: outageFrom, To: outageTo}}})
@@ -201,25 +201,19 @@ func TestObsdFleetSmoke(t *testing.T) {
 		IBP: client, LBone: qc, Directory: dir,
 		Clock: clk, Site: geo.UTK.Name, Loc: geo.UTK.Loc, Health: sb,
 	}
-	harnessStart := clk.Now()
-	harnessMux := http.NewServeMux()
-	harnessMux.Handle("/metrics", obs.MetricsHandler(func() []obs.Metric {
-		ms := coll.CollectorMetrics("ibp_client_")
-		ms = append(ms, engine.Metrics()...)
-		ms = append(ms, rec.RingMetrics()...)
-		ms = append(ms, obs.ProcessMetrics("xnd", clk.Now, harnessStart)...)
-		return append(ms, obs.RuntimeMetrics()...)
-	}))
-	harnessMux.Handle("/slo", engine.Handler())
-	harnessMux.Handle("/trace/", obs.TraceJSONHandler(rec))
-	harnessMux.Handle("/postmortem/", obs.PostmortemHandler(rec, "xnd", clk.Now))
+	harnessMux := obs.Surface{
+		Component: "xnd", Now: clk.Now, Start: clk.Now(), Recorder: rec,
+		Metrics: func() []obs.Metric {
+			return append(coll.CollectorMetrics("ibp_client_"), engine.Metrics()...)
+		},
+		Routes: map[string]http.Handler{"/slo": engine.Handler()},
+	}.Mux()
 	obs.AttachPprof(harnessMux)
 	harnessAddr := announce(harnessMux, "xnd", "xnd-harness")
 
 	// --- Two maintaind shards over the same directory. ---
 	var maintainers []*repaird.Daemon
 	for shard := 0; shard < 2; shard++ {
-		mrec := obs.NewFlightRecorder(0)
 		mtl := &core.Tools{
 			IBP: ibp.NewClient(
 				ibp.WithDialer(model.DialerFrom(geo.UCSD.Name)),
@@ -231,13 +225,13 @@ func TestObsdFleetSmoke(t *testing.T) {
 			Site: geo.UCSD.Name, Loc: geo.UCSD.Loc,
 		}
 		md, err := repaird.New(repaird.Config{
-			Tools: mtl, ShardIndex: shard, ShardCount: 2, Recorder: mrec,
+			Tools: mtl, ShardIndex: shard, ShardCount: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		maintainers = append(maintainers, md)
-		announce(md.ObsMux(), "maintaind", fmt.Sprintf("maintaind-%d", shard))
+		announce(md.Surface().Mux(), "maintaind", fmt.Sprintf("maintaind-%d", shard))
 	}
 
 	// --- The aggregator discovers everything through CLIST. ---
@@ -337,7 +331,7 @@ func TestObsdFleetSmoke(t *testing.T) {
 
 	// (a) /fleet/slo matches the harness's own SLI view: same firing
 	// set, keyed to the dead depot, attributed to the harness member.
-	ui := httptest.NewServer(agg.Mux())
+	ui := httptest.NewServer(agg.Surface().Mux())
 	defer ui.Close()
 	var fleetSLO obsfleet.FleetSLO
 	getInto(t, ui.URL+"/fleet/slo", &fleetSLO)
@@ -385,7 +379,7 @@ func TestObsdFleetSmoke(t *testing.T) {
 
 	// (c) A fleet histogram bucket carries an exemplar whose trace ID
 	// resolves back through trace assembly.
-	expo := agg.Exposition()
+	expo := agg.Surface().Exposition()
 	exRe := regexp.MustCompile(`fleet_ibp_client_op_latency_seconds_bucket\{[^}]*\} [0-9.e+-]+ # \{trace_id="([0-9a-f]+)"\}`)
 	match := exRe.FindStringSubmatch(expo)
 	if match == nil {

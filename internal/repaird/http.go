@@ -44,36 +44,31 @@ func (d *Daemon) PromMetrics() []obs.Metric {
 	if d.cfg.SLO != nil {
 		ms = append(ms, d.cfg.SLO.Metrics()...)
 	}
-	ms = append(ms, obs.ProcessMetrics("maintaind", d.clock.Now, d.started)...)
-	if d.cfg.Recorder != nil {
-		ms = append(ms, d.cfg.Recorder.RingMetrics()...)
-	}
-	return append(ms, obs.RuntimeMetrics()...)
+	return ms
 }
 
-// ObsMux returns the daemon's HTTP surface: GET /metrics (Prometheus text
-// format), GET /healthz, GET /report (lifetime counters as JSON), and —
-// when an SLO engine is attached — GET /slo.
-func (d *Daemon) ObsMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.MetricsHandler(d.PromMetrics))
-	mux.Handle("/healthz", obs.HealthzHandler(nil))
-	mux.Handle("/report", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Shard string `json:"shard"`
-			Counters
-			QueueDepth int `json:"queue_depth"`
-		}{d.shardKey(), d.Counters(), d.q.depth()})
-	}))
+// Surface describes the daemon's HTTP surface: the shared routes plus
+// GET /report (lifetime counters as JSON) and, when an SLO engine is
+// attached, GET /slo. The process serving it supplies the recorder.
+func (d *Daemon) Surface() obs.Surface {
+	srf := obs.Surface{
+		Component: "maintaind", Now: d.clock.Now, Start: d.started,
+		Metrics: d.PromMetrics,
+		Routes: map[string]http.Handler{
+			"/report": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				enc := json.NewEncoder(w)
+				enc.SetIndent("", "  ")
+				enc.Encode(struct {
+					Shard string `json:"shard"`
+					Counters
+					QueueDepth int `json:"queue_depth"`
+				}{d.shardKey(), d.Counters(), d.q.depth()})
+			}),
+		},
+	}
 	if d.cfg.SLO != nil {
-		mux.Handle("/slo", d.cfg.SLO.Handler())
+		srf.Routes["/slo"] = d.cfg.SLO.Handler()
 	}
-	if d.cfg.Recorder != nil {
-		mux.Handle("/trace/", obs.TraceJSONHandler(d.cfg.Recorder))
-		mux.Handle("/postmortem/", obs.PostmortemHandler(d.cfg.Recorder, "maintaind", d.clock.Now))
-	}
-	return mux
+	return srf
 }

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/slo"
 	"repro/internal/transfer"
@@ -86,10 +85,6 @@ type Config struct {
 	// SLO, when set, receives one durability verdict per scanned file,
 	// keyed by this daemon's shard.
 	SLO *slo.Engine
-	// Recorder, when set, gives the daemon a flight ring: its ObsMux then
-	// serves /trace/<id> and /postmortem/<trace> so fleet trace assembly
-	// (internal/obsfleet) can include maintenance spans.
-	Recorder *obs.FlightRecorder
 	// Logger (default: discard).
 	Logger *slog.Logger
 }

@@ -3,7 +3,7 @@
 // depot set on a fixed interval — a STATUS probe per depot, optionally
 // followed by an allocate/store/load/delete data round — and keeps a
 // per-depot time series of availability, probe latency, and measured
-// bandwidth. The series backs a Prometheus scrape surface (ObsMux) and a
+// bandwidth. The series backs a Prometheus scrape surface (Surface) and a
 // paper-style availability report (Snapshot/report.go).
 package stackmon
 

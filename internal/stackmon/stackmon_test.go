@@ -115,7 +115,7 @@ func TestSimDataRounds(t *testing.T) {
 	}
 }
 
-// TestMonitorMetricsEndpoint scrapes a live monitor's ObsMux and checks
+// TestMonitorMetricsEndpoint scrapes a live monitor's Surface and checks
 // the acceptance-named series: stackmon_depot_up and the probe-latency
 // histogram's _bucket/_sum/_count family.
 func TestMonitorMetricsEndpoint(t *testing.T) {
@@ -138,7 +138,7 @@ func TestMonitorMetricsEndpoint(t *testing.T) {
 	}
 	mon.Sweep()
 
-	srv := httptest.NewServer(mon.ObsMux())
+	srv := httptest.NewServer(mon.Surface().Mux())
 	defer srv.Close()
 
 	body := get(t, srv.URL+"/metrics")
@@ -246,7 +246,7 @@ func get(t *testing.T, url string) string {
 
 func scrape(t *testing.T, mon *Monitor) string {
 	t.Helper()
-	srv := httptest.NewServer(mon.ObsMux())
+	srv := httptest.NewServer(mon.Surface().Mux())
 	defer srv.Close()
 	return get(t, srv.URL+"/metrics")
 }

@@ -1,7 +1,8 @@
 # Tier-1 verification: build, vet (+staticcheck when installed), full test
 # suite, then race-detector runs of the concurrency-heavy packages
 # (parallel transfers in core, connection pool + shared health scoreboard
-# in ibp, depot metric counters, lbone registry, the obs collector).
+# in ibp, depot metric counters, lbone registry, the obs collector, and
+# the daemon bootstrap's signal, listener and announcer goroutines).
 .PHONY: tier1 build vet staticcheck test race bench bench-check stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
 
 tier1: build vet staticcheck test race
@@ -29,7 +30,7 @@ race:
 		repro/internal/depot repro/internal/lbone repro/internal/obs \
 		repro/internal/transfer repro/internal/faultnet repro/internal/stackmon \
 		repro/internal/slo repro/internal/registry repro/internal/repaird \
-		repro/internal/obsfleet repro/internal/tsdb
+		repro/internal/obsfleet repro/internal/tsdb repro/internal/daemon
 
 # End-to-end transfer benchmarks → BENCH_upload_download.json
 # (ns/op and MB/s per bench; raw bench log stays on stderr), plus the

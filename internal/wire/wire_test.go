@@ -137,6 +137,19 @@ func TestQuoteEmpty(t *testing.T) {
 	}
 }
 
+// TestQuoteLoneNUL pins a collision FuzzUnquote found: a string holding
+// one NUL byte escaped to "%00", the empty-string marker, and so came back
+// as "". The empty string must keep its "%00" encoding for older peers.
+func TestQuoteLoneNUL(t *testing.T) {
+	if q := Quote(""); q != "%00" {
+		t.Fatalf("Quote(\"\") = %q, want %%00", q)
+	}
+	got, err := Unquote(Quote("\x00"))
+	if err != nil || got != "\x00" {
+		t.Fatalf("lone NUL round trip = %q, %v", got, err)
+	}
+}
+
 func TestUnquoteErrors(t *testing.T) {
 	for _, bad := range []string{"%", "%1", "%zz"} {
 		if _, err := Unquote(bad); err == nil {

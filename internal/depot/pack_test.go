@@ -244,3 +244,58 @@ func TestPackBackendTornTailKeepsLaterRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// gatedWriter holds a streamed segment mid-write until resumed, then reads
+// every page of it, as a socket draining a large LOAD would.
+type gatedWriter struct {
+	started, resume chan struct{}
+	sum             int
+}
+
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	close(w.started)
+	<-w.resume
+	for i := 0; i < len(p); i += 4096 {
+		w.sum += int(p[i])
+	}
+	return len(p), nil
+}
+
+// TestPackBackendRemoveDuringStreamedLoad removes the last live allocation
+// of a sealed bundle while a LOAD of it is still streaming out of the
+// bundle's mapping. The stream must finish with the right bytes; dropping
+// the bundle must not unmap the memory under it.
+func TestPackBackendRemoveDuringStreamedLoad(t *testing.T) {
+	pb, err := NewPackBackend(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pb.Close()
+	h, err := pb.Create("a", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Append(bytes.Repeat([]byte{1}, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pb.Create("b", 1); err != nil { // seals bundle 0
+		t.Fatal(err)
+	}
+	w := &gatedWriter{started: make(chan struct{}), resume: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, err := h.(SegmentWriter).WriteSegment(w, 0, 1<<20)
+		done <- err
+	}()
+	<-w.started
+	if err := pb.Remove("a"); err != nil {
+		t.Fatal(err)
+	}
+	close(w.resume)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if w.sum != (1<<20)/4096 {
+		t.Fatalf("streamed page sum = %d, want %d", w.sum, (1<<20)/4096)
+	}
+}

@@ -3,7 +3,7 @@
 # (parallel transfers in core, connection pool + shared health scoreboard
 # in ibp, depot metric counters, lbone registry, the obs collector, and
 # the daemon bootstrap's signal, listener and announcer goroutines).
-.PHONY: tier1 build vet staticcheck test race bench bench-check stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
+.PHONY: tier1 build vet staticcheck test race fuzz-smoke bench bench-check stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
 
 tier1: build vet staticcheck test race
 
@@ -31,6 +31,18 @@ race:
 		repro/internal/transfer repro/internal/faultnet repro/internal/stackmon \
 		repro/internal/slo repro/internal/registry repro/internal/repaird \
 		repro/internal/obsfleet repro/internal/tsdb repro/internal/daemon
+
+# Fuzz smoke: every Go-native fuzz target in the module (the perfstack
+# module aside) runs for 5 s against its committed seed corpus. -fuzz takes
+# one target per run, so targets are found by name and run one at a time.
+# A crasher is written under the package's testdata/fuzz/ and fails the run.
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=perfstack '^func Fuzz' .); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz $$(dirname $$f) $$t"; \
+			go test -run '^$$' -fuzz "^$$t$$" -fuzztime 5s $$(dirname $$f); \
+		done; \
+	done
 
 # End-to-end transfer benchmarks → BENCH_upload_download.json
 # (ns/op and MB/s per bench; raw bench log stays on stderr), plus the

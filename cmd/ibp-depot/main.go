@@ -6,6 +6,10 @@
 //
 //	ibp-depot -listen :6714 -capacity 1073741824 -dir /var/ibp \
 //	          -secret-file /etc/ibp.secret -lbone host:6767 -name UTK1 -site UTK
+//
+// With -dir the depot keeps its allocations in a pack-engine store there
+// (bundle files plus a journal), so capabilities survive a restart; without
+// it they live in memory.
 package main
 
 import (
@@ -28,9 +32,8 @@ func main() {
 		advertised  = flag.String("advertised", "", "address minted into capabilities (default: listen address)")
 		capacity    = flag.Int64("capacity", 1<<30, "total bytes to serve")
 		maxDuration = flag.Duration("max-duration", 30*24*time.Hour, "longest allocation lifetime granted")
-		dir         = flag.String("dir", "", "directory for disk-backed storage (required for -backend file|pack)")
-		backendKind = flag.String("backend", "", "storage backend: memory, file, or pack (default: file when -dir is set, else memory)")
-		bundleCap   = flag.Int64("bundle-cap", depot.DefaultBundleCap, "pack backend: max reserved bytes per bundle file")
+		dir         = flag.String("dir", "", "directory for the pack-engine disk store (required for -backend pack)")
+		backendKind = flag.String("backend", "", "storage backend: memory or pack (default: pack when -dir is set, else memory)")
 		secretFile  = flag.String("secret-file", "", "file holding the capability-signing secret (default: random per run)")
 		lboneAddr   = flag.String("lbone", "", "L-Bone server to register with (optional)")
 		name        = flag.String("name", "depot", "depot display name for the L-Bone")
@@ -57,7 +60,7 @@ func main() {
 		kind := *backendKind
 		if kind == "" {
 			if *dir != "" {
-				kind = "file"
+				kind = "pack"
 			} else {
 				kind = "memory"
 			}
@@ -65,27 +68,18 @@ func main() {
 		switch kind {
 		case "memory":
 			// depot.Serve defaults to the in-memory backend.
-		case "file":
-			if *dir == "" {
-				return fmt.Errorf("-backend file requires -dir")
-			}
-			backend, err := depot.NewFileBackend(*dir)
-			if err != nil {
-				return fmt.Errorf("opening file backend: %w", err)
-			}
-			cfg.Backend = backend
 		case "pack":
 			if *dir == "" {
 				return fmt.Errorf("-backend pack requires -dir")
 			}
-			backend, err := depot.NewPackBackend(*dir, *bundleCap)
+			backend, err := depot.NewPackBackend(*dir, depot.DefaultBundleCap)
 			if err != nil {
 				return fmt.Errorf("opening pack backend: %w", err)
 			}
 			cfg.Backend = backend
 			defer backend.Close()
 		default:
-			return fmt.Errorf("unknown backend %q (want memory, file, or pack)", kind)
+			return fmt.Errorf("unknown backend %q (want memory or pack; the per-file disk backend was retired and -dir now serves a pack store)", kind)
 		}
 		d, err := depot.Serve(*listen, cfg)
 		if err != nil {

@@ -1,28 +1,18 @@
 // Package depot implements the IBP depot daemon — the server side of the
 // Internet Backplane Protocol (paper §2.1).
 //
-// A depot turns local storage (memory or a directory of files) into
+// A depot turns local storage (memory or a pack-engine directory) into
 // network-visible, time-limited, append-only byte arrays. It enforces the
 // depot's exposed resource limits: total capacity, maximum allocation
 // duration, and allocation expiry.
 package depot
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
-
-	"repro/internal/bufpool"
 )
-
-// copyChunkSize is the pooled scratch-buffer size for streaming file-backed
-// segments to the wire.
-const copyChunkSize = 256 << 10
 
 // Backend abstracts the local storage a depot serves ("Local Access" /
 // "Physical" layers of the stack diagram). Implementations must be safe for
@@ -46,18 +36,12 @@ type Handle interface {
 	ReadAt(p []byte, off int64) error
 	// Len returns the bytes written so far.
 	Len() int64
-	// Close releases any per-handle resources (not the stored data).
-	Close() error
-}
-
-// SegmentWriter is an optional Handle capability: WriteSegment streams the
-// byte range [off, off+n) directly to w without materializing it in an
-// intermediate buffer. Because byte arrays are append-only, a written range
-// is immutable and implementations may stream it outside any handle lock;
-// the depot uses this to serve LOAD responses zero-copy. A short write or
-// any error leaves w in an unknown state — the caller must treat the
-// destination as broken.
-type SegmentWriter interface {
+	// WriteSegment streams the byte range [off, off+n) directly to w
+	// without materializing it in an intermediate buffer. Because byte
+	// arrays are append-only, a written range is immutable and may be
+	// streamed outside any handle lock; the depot uses this to serve LOAD
+	// responses zero-copy. A short write or any error leaves w in an
+	// unknown state — the caller must treat the destination as broken.
 	WriteSegment(w io.Writer, off, n int64) (int64, error)
 }
 
@@ -74,19 +58,6 @@ type AllocMeta struct {
 	Expires     int64  `json:"expires_unix"`
 	Reliability string `json:"reliability"`
 	RefCount    int    `json:"refcount"`
-}
-
-// PersistentBackend is a Backend whose byte arrays and allocation metadata
-// survive process restarts. The depot detects it at startup and restores
-// its allocation table.
-type PersistentBackend interface {
-	Backend
-	// Open reattaches to an existing byte array.
-	Open(key string, maxSize int64) (Handle, error)
-	// SaveMeta durably records the allocation's metadata.
-	SaveMeta(key string, meta AllocMeta) error
-	// LoadMeta returns the metadata of every stored allocation.
-	LoadMeta() (map[string]AllocMeta, error)
 }
 
 // ---- In-memory backend ----
@@ -158,7 +129,7 @@ func (h *memHandle) Len() int64 {
 	return int64(len(h.buf))
 }
 
-// WriteSegment implements SegmentWriter. Only the slice header is read under
+// WriteSegment implements Handle. Only the slice header is read under
 // the lock: bytes [0, len) never change after being written (append may
 // reallocate, but the old array stays intact), so the write to w can run
 // unlocked and concurrent appends are never observed.
@@ -172,170 +143,3 @@ func (h *memHandle) WriteSegment(w io.Writer, off, n int64) (int64, error) {
 	m, err := w.Write(buf[off : off+n])
 	return int64(m), err
 }
-
-func (h *memHandle) Close() error { return nil }
-
-// ---- File backend ----
-
-// FileBackend stores each byte array as a file under a directory, the way
-// a production depot serves a disk volume.
-type FileBackend struct {
-	dir string
-	mu  sync.Mutex
-}
-
-// NewFileBackend creates (if needed) and serves the given directory.
-func NewFileBackend(dir string) (*FileBackend, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("depot: file backend: %w", err)
-	}
-	return &FileBackend{dir: dir}, nil
-}
-
-func (b *FileBackend) path(key string) string {
-	return filepath.Join(b.dir, key+".ibp")
-}
-
-// Create implements Backend.
-func (b *FileBackend) Create(key string, maxSize int64) (Handle, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	path := b.path(key)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("depot: create %s: %w", key, err)
-	}
-	return &fileHandle{f: f, max: maxSize}, nil
-}
-
-// Remove implements Backend; it also drops the metadata sidecar.
-func (b *FileBackend) Remove(key string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	os.Remove(b.metaPath(key)) // best effort; data removal decides success
-	return os.Remove(b.path(key))
-}
-
-func (b *FileBackend) metaPath(key string) string {
-	return filepath.Join(b.dir, key+".meta")
-}
-
-// Open implements PersistentBackend: it reattaches to an existing byte
-// array after a restart.
-func (b *FileBackend) Open(key string, maxSize int64) (Handle, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	f, err := os.OpenFile(b.path(key), os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("depot: open %s: %w", key, err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("depot: open %s: %w", key, err)
-	}
-	return &fileHandle{f: f, size: st.Size(), max: maxSize}, nil
-}
-
-// SaveMeta implements PersistentBackend with a JSON sidecar per key.
-func (b *FileBackend) SaveMeta(key string, meta AllocMeta) error {
-	blob, err := json.Marshal(meta)
-	if err != nil {
-		return fmt.Errorf("depot: meta %s: %w", key, err)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	tmp := b.metaPath(key) + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return fmt.Errorf("depot: meta %s: %w", key, err)
-	}
-	return os.Rename(tmp, b.metaPath(key))
-}
-
-// LoadMeta implements PersistentBackend.
-func (b *FileBackend) LoadMeta() (map[string]AllocMeta, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	entries, err := os.ReadDir(b.dir)
-	if err != nil {
-		return nil, fmt.Errorf("depot: load meta: %w", err)
-	}
-	out := map[string]AllocMeta{}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".meta") {
-			continue
-		}
-		key := strings.TrimSuffix(name, ".meta")
-		blob, err := os.ReadFile(filepath.Join(b.dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("depot: load meta %s: %w", key, err)
-		}
-		var meta AllocMeta
-		if err := json.Unmarshal(blob, &meta); err != nil {
-			return nil, fmt.Errorf("depot: load meta %s: %w", key, err)
-		}
-		out[key] = meta
-	}
-	return out, nil
-}
-
-type fileHandle struct {
-	mu   sync.Mutex
-	f    *os.File
-	size int64
-	max  int64
-}
-
-func (h *fileHandle) Append(p []byte) (int64, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.size+int64(len(p)) > h.max {
-		return h.size, ErrAllocFull
-	}
-	n, err := h.f.WriteAt(p, h.size)
-	h.size += int64(n)
-	if err != nil {
-		return h.size, fmt.Errorf("depot: append: %w", err)
-	}
-	return h.size, nil
-}
-
-func (h *fileHandle) ReadAt(p []byte, off int64) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if off < 0 || off+int64(len(p)) > h.size {
-		return io.ErrUnexpectedEOF
-	}
-	if _, err := h.f.ReadAt(p, off); err != nil {
-		return fmt.Errorf("depot: read: %w", err)
-	}
-	return nil
-}
-
-func (h *fileHandle) Len() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.size
-}
-
-// WriteSegment implements SegmentWriter. The size check happens under the
-// lock; the copy itself runs unlocked because written file ranges are never
-// rewritten, and os.File.ReadAt is safe for concurrent use.
-func (h *fileHandle) WriteSegment(w io.Writer, off, n int64) (int64, error) {
-	h.mu.Lock()
-	size := h.size
-	h.mu.Unlock()
-	if off < 0 || n < 0 || off+n > size {
-		return 0, io.ErrUnexpectedEOF
-	}
-	chunk := bufpool.Get(copyChunkSize)
-	defer bufpool.Put(chunk)
-	m, err := io.CopyBuffer(w, io.NewSectionReader(h.f, off, n), chunk)
-	if err != nil {
-		return m, fmt.Errorf("depot: stream read: %w", err)
-	}
-	return m, nil
-}
-
-func (h *fileHandle) Close() error { return h.f.Close() }

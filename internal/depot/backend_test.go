@@ -13,14 +13,21 @@ func netDial(addr string) (net.Conn, error) {
 }
 
 func backends(t *testing.T) map[string]Backend {
-	fb, err := NewFileBackend(t.TempDir())
+	return map[string]Backend{
+		"mem":  NewMemBackend(),
+		"pack": newPack(t, t.TempDir(), 0),
+	}
+}
+
+// newPack opens a pack store that is closed at test end.
+func newPack(t *testing.T, dir string, bundleCap int64) *PackBackend {
+	t.Helper()
+	pb, err := NewPackBackend(dir, bundleCap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Backend{
-		"mem":  NewMemBackend(),
-		"file": fb,
-	}
+	t.Cleanup(func() { pb.Close() })
+	return pb
 }
 
 func TestBackendAppendRead(t *testing.T) {
@@ -30,7 +37,6 @@ func TestBackendAppendRead(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer h.Close()
 			if h.Len() != 0 {
 				t.Fatal("fresh handle should be empty")
 			}
@@ -69,7 +75,6 @@ func TestBackendCapacity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer h.Close()
 			if _, err := h.Append([]byte("12345")); err != ErrAllocFull {
 				t.Fatalf("got %v, want ErrAllocFull", err)
 			}
@@ -83,11 +88,9 @@ func TestBackendCapacity(t *testing.T) {
 func TestBackendDuplicateAndRemove(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {
-			h, err := b.Create("cccccccccccccccc", 10)
-			if err != nil {
+			if _, err := b.Create("cccccccccccccccc", 10); err != nil {
 				t.Fatal(err)
 			}
-			h.Close()
 			if _, err := b.Create("cccccccccccccccc", 10); err == nil {
 				t.Fatal("duplicate create should fail")
 			}
@@ -98,11 +101,9 @@ func TestBackendDuplicateAndRemove(t *testing.T) {
 				t.Fatal("double remove should fail")
 			}
 			// Key is reusable after removal.
-			h2, err := b.Create("cccccccccccccccc", 10)
-			if err != nil {
+			if _, err := b.Create("cccccccccccccccc", 10); err != nil {
 				t.Fatal(err)
 			}
-			h2.Close()
 		})
 	}
 }
@@ -110,10 +111,7 @@ func TestBackendDuplicateAndRemove(t *testing.T) {
 func TestBackendAppendReadProperty(t *testing.T) {
 	// Property: any sequence of appends reads back as their concatenation,
 	// identically on both backends.
-	fb, err := NewFileBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pack := newPack(t, t.TempDir(), 0)
 	mem := NewMemBackend()
 	i := 0
 	f := func(chunks [][]byte) bool {
@@ -126,7 +124,7 @@ func TestBackendAppendReadProperty(t *testing.T) {
 		if len(want) > 1<<16 {
 			return true
 		}
-		for _, b := range []Backend{mem, Backend(fb)} {
+		for _, b := range []Backend{mem, pack} {
 			h, err := b.Create(key, 1<<16)
 			if err != nil {
 				return false
@@ -148,7 +146,6 @@ func TestBackendAppendReadProperty(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				return false
 			}
-			h.Close()
 		}
 		return true
 	}

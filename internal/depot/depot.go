@@ -135,26 +135,19 @@ func Serve(addr string, cfg Config) (*Depot, error) {
 		outOpts = append(outOpts, ibp.WithDialer(cfg.Dialer))
 	}
 	d.outbound = ibp.NewClient(outOpts...)
-	if pb, ok := cfg.Backend.(PersistentBackend); ok {
-		if err := d.restore(pb); err != nil {
-			ln.Close()
-			return nil, err
-		}
+	if pb, ok := cfg.Backend.(*PackBackend); ok {
+		d.restore(pb)
 	}
 	d.wg.Add(1)
 	go d.acceptLoop()
 	return d, nil
 }
 
-// restore reloads the allocation table from a persistent backend after a
+// restore reloads the allocation table from the pack backend after a
 // restart, dropping anything already expired.
-func (d *Depot) restore(pb PersistentBackend) error {
-	metas, err := pb.LoadMeta()
-	if err != nil {
-		return err
-	}
+func (d *Depot) restore(pb *PackBackend) {
 	now := d.clock.Now()
-	for key, meta := range metas {
+	for key, meta := range pb.LoadMeta() {
 		expires := time.Unix(meta.Expires, 0).UTC()
 		if now.After(expires) {
 			if err := pb.Remove(key); err != nil {
@@ -178,13 +171,12 @@ func (d *Depot) restore(pb PersistentBackend) error {
 		d.used += meta.MaxSize
 		d.metrics.Restores.Add(1)
 	}
-	return nil
 }
 
 // persistMeta records an allocation's durable metadata when the backend
-// supports it.
+// is the pack engine.
 func (d *Depot) persistMeta(a *allocation) {
-	pb, ok := d.cfg.Backend.(PersistentBackend)
+	pb, ok := d.cfg.Backend.(*PackBackend)
 	if !ok {
 		return
 	}
@@ -465,7 +457,6 @@ func (d *Depot) reapOne(a *allocation) {
 	delete(d.allocs, a.key)
 	d.used -= a.maxSize
 	d.mu.Unlock()
-	a.handle.Close()
 	if err := d.cfg.Backend.Remove(a.key); err != nil {
 		d.cfg.Logger.Warn("reaping allocation failed", "alloc", a.key, "err", err)
 	}
@@ -672,7 +663,7 @@ func (d *Depot) handleLoad(conn *connCtx, args []string) error {
 	// the wire. Traced operations take the buffered path so the span's
 	// backend-time attribution stays exact (streaming interleaves backend
 	// reads with network writes).
-	if sw, ok := a.handle.(SegmentWriter); ok && conn.span == nil {
+	if conn.span == nil {
 		a.mu.Lock()
 		have := a.handle.Len()
 		a.mu.Unlock()
@@ -690,7 +681,7 @@ func (d *Depot) handleLoad(conn *connCtx, args []string) error {
 		// Once the OK is written the payload must follow whole; any failure
 		// here leaves the stream unframed, so the error closes the
 		// connection rather than attempting an in-band reply.
-		if _, err := sw.WriteSegment(conn.PayloadWriter(), off, n); err != nil {
+		if _, err := a.handle.WriteSegment(conn.PayloadWriter(), off, n); err != nil {
 			return fmt.Errorf("streaming load payload: %w", err)
 		}
 		return conn.Flush()

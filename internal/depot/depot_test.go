@@ -368,32 +368,6 @@ func TestUnknownOpKeepsConnectionAlive(t *testing.T) {
 	}
 }
 
-func TestFileBackendRoundTrip(t *testing.T) {
-	backend, err := NewFileBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, c := newDepot(t, Config{Backend: backend})
-	set, err := c.Allocate(d.Addr(), 1<<16, time.Hour, ibp.Hard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := bytes.Repeat([]byte{1, 2, 3, 4}, 4096)
-	if _, err := c.Store(set.Write, data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Load(set.Read, 8, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data[8:108]) {
-		t.Fatal("file backend read mismatch")
-	}
-	if _, err := c.Delete(set.Manage); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConcurrentClients(t *testing.T) {
 	d, c := newDepot(t, Config{})
 	const workers = 16
@@ -559,14 +533,11 @@ func TestLoadToStreams(t *testing.T) {
 
 func TestPersistenceAcrossRestart(t *testing.T) {
 	// The paper's Harvard depot restarted via cron (§3.2); clients'
-	// capabilities kept working. Reproduce: file-backed depot, restart on
+	// capabilities kept working. Reproduce: disk-backed depot, restart on
 	// the same address with the same secret, capabilities still resolve.
 	dir := t.TempDir()
 	clk := vclock.NewVirtual(time.Date(2002, 1, 11, 15, 0, 0, 0, time.UTC))
-	backend, err := NewFileBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	backend := newPack(t, dir, 0)
 	d1, err := Serve("127.0.0.1:0", Config{Secret: testSecret, Capacity: 1 << 20, Backend: backend, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
@@ -591,13 +562,13 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	if err := d1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := backend.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Time passes while the daemon is down; the short allocation expires.
 	clk.Advance(5 * time.Minute)
-	backend2, err := NewFileBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	backend2 := newPack(t, dir, 0)
 	d2, err := Serve(addr, Config{Secret: testSecret, Capacity: 1 << 20, Backend: backend2, Clock: clk})
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)

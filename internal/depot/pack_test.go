@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,11 +13,7 @@ import (
 )
 
 func TestPackBackendRoundTrip(t *testing.T) {
-	pb, err := NewPackBackend(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pb.Close()
+	pb := newPack(t, t.TempDir(), 0)
 	h, err := pb.Create("k1", 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -35,11 +32,7 @@ func TestPackBackendRoundTrip(t *testing.T) {
 		t.Fatalf("read back %q", got)
 	}
 	var sink bytes.Buffer
-	sw, ok := h.(SegmentWriter)
-	if !ok {
-		t.Fatal("pack handle should implement SegmentWriter")
-	}
-	if n, err := sw.WriteSegment(&sink, 6, 4); err != nil || n != 4 || sink.String() != "pack" {
+	if n, err := h.WriteSegment(&sink, 6, 4); err != nil || n != 4 || sink.String() != "pack" {
 		t.Fatalf("WriteSegment: n=%d err=%v got %q", n, err, sink.String())
 	}
 	if _, err := h.Append(bytes.Repeat([]byte("x"), 2048)); err != ErrAllocFull {
@@ -50,11 +43,8 @@ func TestPackBackendRoundTrip(t *testing.T) {
 func TestPackBackendBundleRollover(t *testing.T) {
 	// A tiny bundle cap forces rollover: three 400-byte reservations cannot
 	// share a 1000-byte bundle, so the third lands in bundle 1.
-	pb, err := NewPackBackend(t.TempDir(), 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pb.Close()
+	dir := t.TempDir()
+	pb := newPack(t, dir, 1000)
 	for i := 0; i < 3; i++ {
 		h, err := pb.Create(fmt.Sprintf("k%d", i), 400)
 		if err != nil {
@@ -67,8 +57,33 @@ func TestPackBackendBundleRollover(t *testing.T) {
 	if got := pb.Bundles(); got != 2 {
 		t.Fatalf("bundle count = %d, want 2", got)
 	}
-	if _, err := pb.Create("huge", 4096); err == nil {
-		t.Fatal("allocation above bundle cap should fail")
+	// An allocation above the bundle cap gets a bundle of its own, sized
+	// to it, and round-trips; it does not seal the active bundle.
+	h, err := pb.Create("huge", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("0123456789"), 300)
+	if _, err := h.Append(big); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(big))
+	if err := h.ReadAt(got, 0); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("oversize read back: err=%v equal=%v", err, bytes.Equal(got, big))
+	}
+	hugePath := filepath.Join(dir, "bundle-000002.pack")
+	if st, err := os.Stat(hugePath); err != nil || st.Size() != 4096 {
+		t.Fatalf("oversize bundle file: %v, %v", st, err)
+	}
+	if pb.Bundles() != 3 || pb.active.seq != 1 {
+		t.Fatalf("bundles = %d, active = %d; want 3 with bundle 1 still active", pb.Bundles(), pb.active.seq)
+	}
+	// Its file is gone as soon as it is removed.
+	if err := pb.Remove("huge"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(hugePath); !os.IsNotExist(err) {
+		t.Fatalf("oversize bundle after Remove: %v", err)
 	}
 	// Killing both allocations of bundle 0 deletes its file; the active
 	// bundle stays even when empty.
@@ -128,10 +143,7 @@ func TestPackBackendReplay(t *testing.T) {
 	if _, err := pb2.Open("gone", 400); err == nil {
 		t.Fatal("removed key must not replay")
 	}
-	metas, err := pb2.LoadMeta()
-	if err != nil {
-		t.Fatal(err)
-	}
+	metas := pb2.LoadMeta()
 	if m, ok := metas["keep"]; !ok || m.Expires != 99 || m.RefCount != 1 {
 		t.Fatalf("replayed meta = %+v", metas)
 	}
@@ -142,12 +154,14 @@ func TestPackBackendReplay(t *testing.T) {
 }
 
 // TestDepotOnPackBackendSurvivesRestart runs the whole daemon on the pack
-// engine: capabilities minted before a restart keep working after it, the
-// same guarantee the file backend gives. The restarted depot rebinds the
-// original port so the minted capabilities still dial it.
+// engine: capabilities minted before a restart keep working after it. The
+// restarted depot rebinds the original port so the minted capabilities
+// still dial it. A 4 KiB bundle cap makes the 64 KiB allocation oversize,
+// so it lives in a bundle of its own, which DELETE removes.
 func TestDepotOnPackBackendSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	pb, err := NewPackBackend(dir, 0)
+	const bundleCap = 4 << 10
+	pb, err := NewPackBackend(dir, bundleCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,20 +179,32 @@ func TestDepotOnPackBackendSurvivesRestart(t *testing.T) {
 	if _, err := c.Store(set.Write, payload); err != nil {
 		t.Fatal(err)
 	}
-	d.Close()
-	pb.Close()
-
-	pb2, err := NewPackBackend(dir, 0)
+	big, err := c.Allocate(addr, 1<<16, time.Hour, ibp.Hard)
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := bytes.Repeat([]byte{1, 2, 3, 4}, 4096)
+	if _, err := c.Store(big.Write, data); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Load(big.Read, 8, 100); err != nil || !bytes.Equal(got, data[8:108]) {
+		t.Fatalf("oversize read mismatch: %v", err)
+	}
+	d.Close()
+	pb.Close()
+
+	pb2, err := NewPackBackend(dir, bundleCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pb2.Close() })
 	d2, err := Serve(addr, Config{Secret: testSecret, Capacity: 64 << 20, Backend: pb2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d2.Close() })
-	if d2.Metrics().Restores.Load() != 1 {
-		t.Fatalf("restores = %d, want 1", d2.Metrics().Restores.Load())
+	if d2.Metrics().Restores.Load() != 2 {
+		t.Fatalf("restores = %d, want 2", d2.Metrics().Restores.Load())
 	}
 	c2 := ibp.NewClient()
 	got, err := c2.Load(set.Read, 0, int64(len(payload)))
@@ -187,6 +213,25 @@ func TestDepotOnPackBackendSurvivesRestart(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("read after restart: %q", got)
+	}
+	if got, err := c2.Load(big.Read, 8, 100); err != nil || !bytes.Equal(got, data[8:108]) {
+		t.Fatalf("oversize read after restart mismatch: %v", err)
+	}
+	bundles := func() int {
+		m, err := filepath.Glob(filepath.Join(dir, "bundle-*.pack"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(m)
+	}
+	if n := bundles(); n != 2 {
+		t.Fatalf("bundle files = %d, want 2", n)
+	}
+	if _, err := c2.Delete(big.Manage); err != nil {
+		t.Fatal(err)
+	}
+	if n := bundles(); n != 1 {
+		t.Fatalf("bundle files after DELETE = %d, want 1", n)
 	}
 }
 
@@ -245,6 +290,59 @@ func TestPackBackendTornTailKeepsLaterRecords(t *testing.T) {
 	}
 }
 
+// TestPackBackendCorruptRecordIsAnError: a complete journal line that does
+// not decode is corruption, not a torn tail. Opening the store fails and
+// names the line's byte offset instead of skipping it and trusting the
+// records after it.
+func TestPackBackendCorruptRecordIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	pb := newPack(t, dir, 1000)
+	if _, err := pb.Create("a", 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := pb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, packJournalName)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.WriteString("{\"op\":\"cre\x00ate\"}\n{\"op\":\"create\",\"key\":\"b\",\"max\":100}\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewPackBackend(dir, 1000)
+	if want := fmt.Sprintf("byte offset %d", st.Size()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("open over a corrupt record: %v, want an error naming %q", err, want)
+	}
+}
+
+// TestPackBackendRefusesFileBackendDir: a directory written by the retired
+// one-file-per-allocation backend is refused by name, rather than served
+// as an empty store that answers NOT_FOUND for every capability it held.
+func TestPackBackendRefusesFileBackendDir(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"0123abcd.ibp", "0123abcd.meta"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := NewPackBackend(dir, 0)
+	if err == nil || !strings.Contains(err.Error(), "0123abcd.ibp") || !strings.Contains(err.Error(), "0123abcd.meta") {
+		t.Fatalf("open over file-backend files: %v, want an error naming them", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, packJournalName)); !os.IsNotExist(err) {
+		t.Fatalf("refused directory gained a journal: %v", err)
+	}
+}
+
 // gatedWriter holds a streamed segment mid-write until resumed, then reads
 // every page of it, as a socket draining a large LOAD would.
 type gatedWriter struct {
@@ -284,7 +382,7 @@ func TestPackBackendRemoveDuringStreamedLoad(t *testing.T) {
 	w := &gatedWriter{started: make(chan struct{}), resume: make(chan struct{})}
 	done := make(chan error, 1)
 	go func() {
-		_, err := h.(SegmentWriter).WriteSegment(w, 0, 1<<20)
+		_, err := h.WriteSegment(w, 0, 1<<20)
 		done <- err
 	}()
 	<-w.started

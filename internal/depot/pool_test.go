@@ -107,15 +107,22 @@ func TestPooledBufferAliasing(t *testing.T) {
 	}
 }
 
-// TestPooledBufferAliasingFileBackend repeats the concurrent hammer on the
-// file backend, whose LOAD path streams via SectionReader with a pooled
-// chunk buffer.
-func TestPooledBufferAliasingFileBackend(t *testing.T) {
-	fb, err := NewFileBackend(t.TempDir())
-	if err != nil {
+// TestPooledBufferAliasingPackFallback repeats the concurrent hammer on
+// the pack backend's pread fallback, whose LOAD path streams via
+// SectionReader with a pooled chunk buffer. The store is created under a
+// 4 KiB cap and reopened under a larger one, so its active bundle's
+// mapping is shorter than the allocations placed after it.
+func TestPooledBufferAliasingPackFallback(t *testing.T) {
+	dir := t.TempDir()
+	old := newPack(t, dir, 4<<10)
+	if _, err := old.Create("seed", 1<<10); err != nil {
 		t.Fatal(err)
 	}
-	d, c := newDepot(t, Config{Backend: fb})
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pb := newPack(t, dir, 1<<20)
+	d, c := newDepot(t, Config{Backend: pb})
 	addr := d.Addr()
 
 	const allocSize = 32 << 10
@@ -130,6 +137,13 @@ func TestPooledBufferAliasingFileBackend(t *testing.T) {
 		}
 		sets[i] = set
 	}
+	pb.mu.Lock()
+	for key, e := range pb.index {
+		if key != "seed" && e.off+e.max <= int64(len(e.bundle.mm)) {
+			t.Errorf("allocation %s lies inside the mapping; the hammer would miss the pread fallback", key)
+		}
+	}
+	pb.mu.Unlock()
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	for w := 0; w < 4; w++ {

@@ -263,7 +263,14 @@ func (c *Conn) CopyBlob(w io.Writer, n int64) error {
 
 // Quote encodes a free-form string as a single protocol token using URL-ish
 // percent escaping of spaces, percent signs, and control characters.
+//
+// The empty string is the token "%00", so a string of one NUL byte, whose
+// escape that would be, is "%%00" instead. Older peers reject "%%00" as a
+// bad escape rather than read it as "".
 func Quote(s string) string {
+	if s == "\x00" {
+		return "%%00"
+	}
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		ch := s[i]
@@ -281,8 +288,11 @@ func Quote(s string) string {
 
 // Unquote reverses Quote.
 func Unquote(s string) (string, error) {
-	if s == "%00" {
+	switch s {
+	case "%00":
 		return "", nil
+	case "%%00":
+		return "\x00", nil
 	}
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {

@@ -368,6 +368,30 @@ func TestUnknownOpKeepsConnectionAlive(t *testing.T) {
 	}
 }
 
+// TestFileBackendRoundTrip drives the on-disk backend (the pack engine)
+// through the daemon: a 64 KiB store, a load at an offset, and a delete.
+func TestFileBackendRoundTrip(t *testing.T) {
+	d, c := newDepot(t, Config{Backend: newPack(t, t.TempDir(), 0)})
+	set, err := c.Allocate(d.Addr(), 1<<16, time.Hour, ibp.Hard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{1, 2, 3, 4}, 4096)
+	if _, err := c.Store(set.Write, data); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Load(set.Read, 8, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data[8:108]) {
+		t.Fatal("disk backend read mismatch")
+	}
+	if _, err := c.Delete(set.Manage); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConcurrentClients(t *testing.T) {
 	d, c := newDepot(t, Config{})
 	const workers = 16

@@ -55,6 +55,13 @@ func (d *Depot) PromMetrics() []obs.Metric {
 		}
 	}
 	gauge("ibp_depot_next_expiry_seconds", "Seconds until the earliest allocation expires (0 = none pending).", nextExpiry)
+	if pb, ok := d.cfg.Backend.(*PackBackend); ok {
+		ps := pb.Stats()
+		gauge("ibp_depot_pack_bundles", "Open pack bundle files.", float64(ps.Bundles))
+		gauge("ibp_depot_pack_journal_bytes", "Size of the pack journal in bytes.", float64(ps.JournalBytes))
+		counter("ibp_depot_pack_reclaimed_bytes_total", "Dead pack bytes hole-punched out of bundle files.", ps.ReclaimedBytes)
+		counter("ibp_depot_pack_punch_errors_total", "Hole punches the filesystem refused; those ranges stay allocated.", ps.PunchErrors)
+	}
 	return ms
 }
 

@@ -1,11 +1,18 @@
-# Tier-1 verification: build, vet (+staticcheck when installed), full test
+# Tier-1 verification: gofmt, build, vet (+staticcheck when installed), full test
 # suite, then race-detector runs of the concurrency-heavy packages
 # (parallel transfers in core, connection pool + shared health scoreboard
 # in ibp, depot metric counters, lbone registry, the obs collector, and
 # the daemon bootstrap's signal, listener and announcer goroutines).
-.PHONY: tier1 build vet staticcheck test race fuzz-smoke bench bench-check stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
+.PHONY: tier1 fmt build vet staticcheck test race fuzz-smoke bench bench-check stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
 
-tier1: build vet staticcheck test race
+tier1: fmt build vet staticcheck test race
+
+# Formatting gate: fails, naming the files, when gofmt would change any.
+fmt:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 
 build:
 	go build ./...
